@@ -11,101 +11,25 @@
 //! binary search on the monotone outflow function. The cluster is read off
 //! the support of `x` (sweep or top-k by potential).
 //!
-//! The solver runs on the same shared-traversal machinery as the batched
-//! LACA kernel: per-seed potentials and mass live in lane-major dense
-//! arrays ([`FlowWorkspace`]), and coordinate descent proceeds in
-//! ascending sweeps over the union frontier — each touched node is
-//! visited once per sweep and its update applied for every lane with
-//! excess there. Lanes never read each other's state, so a lane's update
-//! sequence is a function of its own seed alone: [`FlowDiffusion::score`]
-//! is literally the single-lane case of [`FlowDiffusion::score_batch`],
-//! and multi-lane answers are bit-identical to solo runs.
+//! Coordinate descent proceeds in ascending Gauss-Seidel sweeps: each
+//! sweep visits every node flagged with excess by the previous one,
+//! smallest id first.
 //!
 //! WFD = the same solver on the Gaussian-kernel reweighted graph
 //! ([`crate::kernel::gaussian_reweighted`]).
 
 use crate::{BaselineError, Score};
-use laca_diffusion::{SparseVec, MAX_LANES};
+use laca_diffusion::SparseVec;
 use laca_graph::{CsrGraph, NodeId};
 
-/// Reusable lane-major state for [`FlowDiffusion::score_batch_in`].
-///
-/// Potentials and residual mass for up to [`MAX_LANES`] concurrent seeds
-/// live interleaved per node (`x[v·stride + l]`), so a shared ascending
-/// sweep touching node `v` finds every lane's state on adjacent cache
-/// lines. Epoch-stamped: starting a new solve costs O(nodes touched by
-/// the previous one), not O(n·lanes).
-#[derive(Debug, Default)]
-pub struct FlowWorkspace {
-    /// Lane-major dual potentials, `x[v * stride + l]`.
-    x: Vec<f64>,
-    /// Lane-major unabsorbed mass, same layout.
-    mass: Vec<f64>,
-    /// Per-node active-lane bitmask for the sweep in progress.
-    cur_mask: Vec<u16>,
-    /// Per-node active-lane bitmask being built for the next sweep.
-    nxt_mask: Vec<u16>,
-    /// `seen[v] == epoch` ⇔ node `v`'s lanes are initialised this solve.
-    seen: Vec<u32>,
-    epoch: u32,
-    stride: usize,
-    /// Every node whose lanes were initialised this solve, any order.
-    touched: Vec<NodeId>,
-}
-
-impl FlowWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn begin(&mut self, n: usize, lanes: usize) {
-        self.stride = lanes;
-        if self.x.len() < n * lanes {
-            self.x.resize(n * lanes, 0.0);
-            self.mass.resize(n * lanes, 0.0);
-        }
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
-            self.cur_mask.resize(n, 0);
-            self.nxt_mask.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One O(n) re-stamp per 2^32 solves beats a branch per touch.
-            self.seen.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        self.touched.clear();
-    }
-
-    // lint: hot-path — lane base resolution inside the flow sweep; every
-    // edge relaxation goes through here.
-    #[inline]
-    fn lane_base(&mut self, v: NodeId) -> usize {
-        let vi = v as usize;
-        if self.seen[vi] != self.epoch {
-            self.seen[vi] = self.epoch;
-            let base = vi * self.stride;
-            self.x[base..base + self.stride].fill(0.0);
-            self.mass[base..base + self.stride].fill(0.0);
-            self.cur_mask[vi] = 0;
-            self.nxt_mask[vi] = 0;
-            self.touched.push(v);
-        }
-        vi * self.stride
-    }
-}
-
-/// Net outflow of `v` at potential `xv` for one lane, given neighbor
-/// potentials: `Σ_u w·sgn(xv − x_u)·|xv − x_u|^{1/(p−1)}`.
-// lint: hot-path — per-lane outflow over the adjacency of `v`; the p>2
-// binary search calls this ~60× per coordinate update.
-fn outflow_lane(g: &CsrGraph, ws: &mut FlowWorkspace, q: f64, v: NodeId, l: usize, xv: f64) -> f64 {
+/// Net outflow of `v` at potential `xv`, given neighbor potentials:
+/// `Σ_u w·sgn(xv − x_u)·|xv − x_u|^{1/(p−1)}`.
+// lint: hot-path — outflow over the adjacency of `v`; the p>2 binary
+// search calls this ~60× per coordinate update.
+fn outflow(g: &CsrGraph, x: &[f64], q: f64, v: NodeId, xv: f64) -> f64 {
     let mut out = 0.0;
     for (u, w) in g.edges_of(v) {
-        let ub = ws.lane_base(u);
-        let diff = xv - ws.x[ub + l];
+        let diff = xv - x[u as usize];
         out += w * diff.signum() * diff.abs().powf(q);
     }
     out
@@ -122,7 +46,7 @@ pub struct FlowDiffusion<'g> {
     pub mass_factor: f64,
     /// Convergence tolerance on per-node excess (relative to `d(v)`).
     pub tol: f64,
-    /// Hard cap on coordinate updates per lane (safety valve).
+    /// Hard cap on coordinate updates per solve (safety valve).
     pub max_updates: usize,
 }
 
@@ -139,191 +63,113 @@ impl<'g> FlowDiffusion<'g> {
     }
 
     /// Dual potentials `x` for a seed; `size_hint` scales the source mass.
-    ///
-    /// Exactly the single-lane case of [`Self::score_batch`] — same
-    /// sweeps, same bits.
     pub fn score(&self, seed: NodeId, size_hint: usize) -> Result<Score, BaselineError> {
-        self.score_batch(&[seed], size_hint).pop().expect("one lane in, one result out")
-    }
-
-    /// Dual potentials for a batch of seeds over one shared traversal.
-    ///
-    /// Seeds beyond [`MAX_LANES`] are processed in chunks; a bad seed
-    /// fails only its own lane. Each lane's answer is bit-identical to
-    /// [`Self::score`] on that seed alone.
-    pub fn score_batch(
-        &self,
-        seeds: &[NodeId],
-        size_hint: usize,
-    ) -> Vec<Result<Score, BaselineError>> {
-        self.score_batch_in(seeds, size_hint, &mut FlowWorkspace::new())
-    }
-
-    /// [`Self::score_batch`] with a caller-owned reusable workspace.
-    pub fn score_batch_in(
-        &self,
-        seeds: &[NodeId],
-        size_hint: usize,
-        ws: &mut FlowWorkspace,
-    ) -> Vec<Result<Score, BaselineError>> {
         if self.p < 2.0 {
-            return seeds
-                .iter()
-                .map(|_| Err(BaselineError::BadParameter("p must be >= 2")))
-                .collect();
+            return Err(BaselineError::BadParameter("p must be >= 2"));
         }
-        let mut out = Vec::with_capacity(seeds.len());
-        for chunk in seeds.chunks(MAX_LANES.max(1)) {
-            self.solve_chunk(chunk, size_hint, ws, &mut out);
-        }
-        out
-    }
-
-    /// Runs one lane-major chunk (≤ [`MAX_LANES`] seeds) to convergence.
-    fn solve_chunk(
-        &self,
-        seeds: &[NodeId],
-        size_hint: usize,
-        ws: &mut FlowWorkspace,
-        out: &mut Vec<Result<Score, BaselineError>>,
-    ) {
         let g = self.graph;
-        let lanes = seeds.len();
-        ws.begin(g.n(), lanes);
+        let n = g.n();
+        if seed as usize >= n {
+            return Err(BaselineError::BadSeed(seed));
+        }
         let q = 1.0 / (self.p - 1.0);
         let linear = (self.p - 2.0).abs() < 1e-12;
-        let avg_degree = g.total_volume() / g.n() as f64;
-        let slot0 = out.len();
+        let avg_degree = g.total_volume() / n as f64;
+        // Source mass must stay well below the total sink capacity
+        // (Σ T(v) = vol(G)) or the excess can never be absorbed.
+        let desired = self.mass_factor * (size_hint.max(1) as f64) * avg_degree;
+        let source = desired.min(0.45 * g.total_volume()).max(2.0 * g.weighted_degree(seed));
 
-        // Seed the lanes; a bad seed fails its slot and never activates.
-        let mut cur_nodes: Vec<NodeId> = Vec::new();
+        let mut x = vec![0.0f64; n];
+        let mut mass = vec![0.0f64; n];
+        mass[seed as usize] = source;
+        // `queued[v]` ⇔ `v` is already in the next sweep's list.
+        let mut queued = vec![false; n];
+        let mut cur_nodes: Vec<NodeId> = vec![seed];
         let mut nxt_nodes: Vec<NodeId> = Vec::new();
-        for (l, &seed) in seeds.iter().enumerate() {
-            if seed as usize >= g.n() {
-                out.push(Err(BaselineError::BadSeed(seed)));
-                continue;
-            }
-            out.push(Ok(Score::Sparse(SparseVec::new())));
-            // Source mass must stay well below the total sink capacity
-            // (Σ T(v) = vol(G)) or the excess can never be absorbed.
-            let desired = self.mass_factor * (size_hint.max(1) as f64) * avg_degree;
-            let source = desired.min(0.45 * g.total_volume()).max(2.0 * g.weighted_degree(seed));
-            let base = ws.lane_base(seed);
-            ws.mass[base + l] = source;
-            if ws.cur_mask[seed as usize] == 0 {
-                cur_nodes.push(seed);
-            }
-            ws.cur_mask[seed as usize] |= 1 << l;
-        }
-
-        // Ascending Gauss-Seidel sweeps over the union frontier: each
-        // sweep visits every node some lane flagged, smallest id first,
-        // and applies that node's update for each flagged lane.
-        // Activations land in the *next* sweep, so a lane's visit order
-        // is exactly what a solo run of that lane would produce.
-        let mut updates = vec![0usize; lanes];
+        let mut updates = 0usize;
         while !cur_nodes.is_empty() {
             cur_nodes.sort_unstable();
             for &v in &cur_nodes {
+                queued[v as usize] = false;
+            }
+            for &v in &cur_nodes {
                 let vi = v as usize;
-                let vmask = ws.cur_mask[vi];
-                ws.cur_mask[vi] = 0;
+                if updates >= self.max_updates {
+                    // Capped: stop scheduling, keep what we have.
+                    continue;
+                }
+                updates += 1;
                 let dv = g.weighted_degree(v);
-                let vb = ws.lane_base(v);
-                for (l, lane_updates) in updates.iter_mut().enumerate() {
-                    if vmask & (1 << l) == 0 {
-                        continue;
-                    }
-                    if *lane_updates >= self.max_updates {
-                        // Capped lane: stop scheduling, keep what it has.
-                        continue;
-                    }
-                    *lane_updates += 1;
-                    let excess = ws.mass[vb + l] - dv;
-                    if excess <= self.tol * dv {
-                        continue;
-                    }
-                    let xv = ws.x[vb + l];
-                    let delta = if linear {
-                        // Linear case: outflow increases exactly by d(v)·Δx.
-                        excess / dv
-                    } else {
-                        // Binary search the monotone outflow for Δ with
-                        // outflow(xv + Δ) − outflow(xv) = excess.
-                        let old_out = outflow_lane(g, ws, q, v, l, xv);
-                        let mut lo = 0.0f64;
-                        let mut hi = (excess / dv).max(1e-12);
-                        while outflow_lane(g, ws, q, v, l, xv + hi) - old_out < excess {
-                            hi *= 2.0;
-                            if hi > 1e12 {
-                                break;
-                            }
+                let excess = mass[vi] - dv;
+                if excess <= self.tol * dv {
+                    continue;
+                }
+                let xv = x[vi];
+                let delta = if linear {
+                    // Linear case: outflow increases exactly by d(v)·Δx.
+                    excess / dv
+                } else {
+                    // Binary search the monotone outflow for Δ with
+                    // outflow(xv + Δ) − outflow(xv) = excess.
+                    let old_out = outflow(g, &x, q, v, xv);
+                    let mut lo = 0.0f64;
+                    let mut hi = (excess / dv).max(1e-12);
+                    while outflow(g, &x, q, v, xv + hi) - old_out < excess {
+                        hi *= 2.0;
+                        if hi > 1e12 {
+                            break;
                         }
-                        for _ in 0..60 {
-                            let mid = 0.5 * (lo + hi);
-                            if outflow_lane(g, ws, q, v, l, xv + mid) - old_out < excess {
-                                lo = mid;
-                            } else {
-                                hi = mid;
-                            }
+                    }
+                    for _ in 0..60 {
+                        let mid = 0.5 * (lo + hi);
+                        if outflow(g, &x, q, v, xv + mid) - old_out < excess {
+                            lo = mid;
+                        } else {
+                            hi = mid;
                         }
-                        hi
+                    }
+                    hi
+                };
+                // Apply: mass moves along each edge by the flow change.
+                // lint: hot-path — edge relaxation of the flow sweep.
+                let new_xv = xv + delta;
+                for (u, w) in g.edges_of(v) {
+                    let ui = u as usize;
+                    let xu = x[ui];
+                    let f_old = {
+                        let d0 = xv - xu;
+                        w * d0.signum() * d0.abs().powf(q)
                     };
-                    // Apply: mass moves along each edge by the flow change.
-                    // lint: hot-path — lane-l edge relaxation of the flow sweep.
-                    let new_xv = xv + delta;
-                    for (u, w) in g.edges_of(v) {
-                        let ub = ws.lane_base(u);
-                        let xu = ws.x[ub + l];
-                        let f_old = {
-                            let d0 = xv - xu;
-                            w * d0.signum() * d0.abs().powf(q)
-                        };
-                        let f_new = {
-                            let d1 = new_xv - xu;
-                            w * d1.signum() * d1.abs().powf(q)
-                        };
-                        let moved = f_new - f_old;
-                        ws.mass[vb + l] -= moved;
-                        ws.mass[ub + l] += moved;
-                        if ws.mass[ub + l] > g.weighted_degree(u) * (1.0 + self.tol) {
-                            let ui = u as usize;
-                            if ws.nxt_mask[ui] == 0 {
-                                nxt_nodes.push(u);
-                            }
-                            ws.nxt_mask[ui] |= 1 << l;
-                        }
+                    let f_new = {
+                        let d1 = new_xv - xu;
+                        w * d1.signum() * d1.abs().powf(q)
+                    };
+                    let moved = f_new - f_old;
+                    mass[vi] -= moved;
+                    mass[ui] += moved;
+                    if mass[ui] > g.weighted_degree(u) * (1.0 + self.tol) && !queued[ui] {
+                        queued[ui] = true;
+                        nxt_nodes.push(u);
                     }
-                    ws.x[vb + l] = new_xv;
-                    if ws.mass[vb + l] > dv * (1.0 + self.tol) {
-                        if ws.nxt_mask[vi] == 0 {
-                            nxt_nodes.push(v);
-                        }
-                        ws.nxt_mask[vi] |= 1 << l;
-                    }
+                }
+                x[vi] = new_xv;
+                if mass[vi] > dv * (1.0 + self.tol) && !queued[vi] {
+                    queued[vi] = true;
+                    nxt_nodes.push(v);
                 }
             }
             cur_nodes.clear();
             std::mem::swap(&mut cur_nodes, &mut nxt_nodes);
-            std::mem::swap(&mut ws.cur_mask, &mut ws.nxt_mask);
         }
 
-        // Read each lane's potentials off the shared touched set.
-        let mut support: Vec<NodeId> = ws.touched.clone();
-        support.sort_unstable();
-        for (l, &seed) in seeds.iter().enumerate() {
-            if seed as usize >= g.n() {
-                continue;
+        let mut out = SparseVec::new();
+        for (v, &xv) in x.iter().enumerate() {
+            if xv != 0.0 {
+                out.set(v as NodeId, xv);
             }
-            let mut x = SparseVec::new();
-            for &v in &support {
-                let xv = ws.x[v as usize * ws.stride + l];
-                if xv != 0.0 {
-                    x.set(v, xv);
-                }
-            }
-            out[slot0 + l] = Ok(Score::Sparse(x));
         }
+        Ok(Score::Sparse(out))
     }
 
     /// Top-`size` cluster by dual potential.
@@ -455,41 +301,41 @@ mod tests {
         assert!(FlowDiffusion::new(&ds.graph).score(9999, 10).is_err());
     }
 
-    #[test]
-    fn batched_potentials_are_bit_identical_to_single_lane() {
-        let ds = dataset();
-        // 17 seeds (one past MAX_LANES, so chunking engages) with a
-        // duplicate — both the p = 2 closed form and the p = 4 binary
-        // search must land the exact f64 bits the solo runs produce.
-        let mut seeds: Vec<NodeId> = (0..16).map(|i| (i * 11) % 200).collect();
-        seeds.push(seeds[2]);
-        let mut ws = FlowWorkspace::new();
-        for p in [2.0, 4.0] {
-            let fd = FlowDiffusion::new(&ds.graph).with_p(p);
-            let batch = fd.score_batch_in(&seeds, 20, &mut ws);
-            assert_eq!(batch.len(), seeds.len());
-            for (&seed, result) in seeds.iter().zip(&batch) {
-                let solo = fd.score(seed, 20).unwrap();
-                let batched = result.as_ref().expect("valid seed");
-                assert_eq!(
-                    bits(batched),
-                    bits(&solo),
-                    "p={p} seed {seed}: batched lane diverged from solo bits"
-                );
+    /// FNV-1a over sorted `(node, f64 bits)` pairs.
+    fn digest(pairs: &[(NodeId, u64)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(v, x) in pairs {
+            for byte in u64::from(v).to_le_bytes().into_iter().chain(x.to_le_bytes()) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
+        h
     }
 
     #[test]
-    fn batch_fails_bad_seeds_per_lane() {
+    fn score_bits_are_pinned() {
+        // (p, seed, support size, digest of the potentials' bits): the
+        // closed-form p = 2 update and the p = 4 binary search must keep
+        // landing exactly these f64s, so a refactor that reorders the
+        // sweeps or the float ops fails here.
+        const PINS: [(f64, NodeId, usize, u64); 10] = [
+            (2.0, 0, 24, 0xc59d_bb73_44b2_9b20),
+            (2.0, 3, 19, 0x59e0_f356_a9b5_a02d),
+            (2.0, 57, 21, 0x6140_f9ee_b510_75a6),
+            (2.0, 131, 26, 0xceaf_9c08_23b8_1d4b),
+            (2.0, 199, 30, 0x6851_8ab5_cca7_5013),
+            (4.0, 0, 25, 0x362a_0029_d6e7_6e71),
+            (4.0, 3, 18, 0xa38e_2119_62e5_249d),
+            (4.0, 57, 21, 0x3abc_f8d2_04cf_3c73),
+            (4.0, 131, 25, 0x2fb9_4ea6_58b9_7307),
+            (4.0, 199, 28, 0xe9aa_3113_80b9_3dc8),
+        ];
         let ds = dataset();
-        let fd = FlowDiffusion::new(&ds.graph);
-        let results = fd.score_batch(&[1, 9999, 2], 10);
-        assert!(matches!(results[1], Err(BaselineError::BadSeed(9999))));
-        for (lane, seed) in [(0usize, 1u32), (2, 2)] {
-            let solo = fd.score(seed, 10).unwrap();
-            let batched = results[lane].as_ref().expect("good lane survives a bad batch-mate");
-            assert_eq!(bits(batched), bits(&solo), "seed {seed}");
+        for (p, seed, len, want) in PINS {
+            let got = bits(&FlowDiffusion::new(&ds.graph).with_p(p).score(seed, 20).unwrap());
+            assert_eq!(got.len(), len, "p={p} seed {seed}: support size");
+            assert_eq!(digest(&got), want, "p={p} seed {seed}: potential bits moved");
         }
     }
 }

@@ -33,7 +33,22 @@ pub struct ExpArgs {
 
 impl ExpArgs {
     /// Parses `std::env::args`, with a default seed count per binary.
+    /// A malformed line prints its error and exits with status 2.
     pub fn parse(default_seeds: usize) -> ExpArgs {
+        ExpArgs::parse_from(std::env::args().skip(1), default_seeds).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses an argument list (without the program name). A flag with a
+    /// missing or malformed value is an error: `--seeds` needs an
+    /// integer ≥ 1, `--scale` a finite number > 0. Unknown flags only
+    /// warn.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_seeds: usize,
+    ) -> Result<ExpArgs, String> {
         let mut out = ExpArgs {
             seeds: default_seeds,
             scale: 1.0,
@@ -41,44 +56,33 @@ impl ExpArgs {
             out_dir: PathBuf::from("results"),
             param: None,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let take = |i: &mut usize| -> Option<String> {
-                *i += 1;
-                args.get(*i).cloned()
-            };
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--seeds" => {
-                    if let Some(v) = take(&mut i) {
-                        out.seeds = v.parse().unwrap_or(out.seeds);
-                    }
+                    let v = value()?;
+                    out.seeds = match v.parse::<usize>() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(format!("--seeds must be an integer >= 1, got '{v}'")),
+                    };
                 }
                 "--scale" => {
-                    if let Some(v) = take(&mut i) {
-                        out.scale = v.parse().unwrap_or(out.scale);
-                    }
+                    let v = value()?;
+                    out.scale = match v.parse::<f64>() {
+                        Ok(x) if x.is_finite() && x > 0.0 => x,
+                        _ => return Err(format!("--scale must be a finite number > 0, got '{v}'")),
+                    };
                 }
                 "--datasets" => {
-                    if let Some(v) = take(&mut i) {
-                        out.datasets = v.split(',').map(|s| s.trim().to_string()).collect();
-                    }
+                    out.datasets = value()?.split(',').map(|s| s.trim().to_string()).collect();
                 }
-                "--out" => {
-                    if let Some(v) = take(&mut i) {
-                        out.out_dir = PathBuf::from(v);
-                    }
-                }
-                "--param" => {
-                    out.param = take(&mut i);
-                }
-                other => {
-                    eprintln!("warning: ignoring unknown argument {other}");
-                }
+                "--out" => out.out_dir = PathBuf::from(value()?),
+                "--param" => out.param = Some(value()?),
+                other => eprintln!("warning: ignoring unknown argument {other}"),
             }
-            i += 1;
         }
-        out
+        Ok(out)
     }
 
     /// The dataset list to use: the CLI filter, or the given default.
@@ -120,4 +124,60 @@ pub fn load_dataset(name: &str, extra_scale: f64) -> AttributedDataset {
 /// Prints a section header in the experiment binaries' output.
 pub fn banner(title: &str) {
     println!("\n==== {title} ====");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<ExpArgs, String> {
+        ExpArgs::parse_from(line.iter().map(|s| s.to_string()), 7)
+    }
+
+    #[test]
+    fn parses_a_good_line() {
+        let args = parse(&[
+            "--seeds",
+            "12",
+            "--scale",
+            "0.02",
+            "--datasets",
+            "cora, arxiv",
+            "--out",
+            "tmp",
+            "--param",
+            "alpha",
+        ])
+        .unwrap();
+        assert_eq!(args.seeds, 12);
+        assert_eq!(args.scale, 0.02);
+        assert_eq!(args.datasets, vec!["cora", "arxiv"]);
+        assert_eq!(args.out_dir, PathBuf::from("tmp"));
+        assert_eq!(args.param.as_deref(), Some("alpha"));
+        // Defaults survive an empty line.
+        let args = parse(&[]).unwrap();
+        assert_eq!((args.seeds, args.scale), (7, 1.0));
+    }
+
+    #[test]
+    fn rejects_malformed_values() {
+        for line in [
+            &["--seeds", "abc"][..],
+            &["--seeds", "0"],
+            &["--seeds", "-3"],
+            &["--seeds", "2.5"],
+            &["--seeds"],
+            &["--scale", "abc"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+            &["--scale", "inf"],
+            &["--scale"],
+            &["--datasets"],
+            &["--out"],
+            &["--param"],
+        ] {
+            assert!(parse(line).is_err(), "{line:?} was accepted");
+        }
+    }
 }

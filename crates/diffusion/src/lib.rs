@@ -22,9 +22,6 @@
 //!   paper's Section IV-B study compares against,
 //! * [`adaptive_diffuse`] — Algo. 2 (**AdaptiveDiffuse**), which switches
 //!   between the two under a cost budget,
-//! * [`batch_diffuse`] — the batched multi-seed solver: up to
-//!   [`MAX_LANES`] seeds advance through one shared traversal on a
-//!   [`BatchWorkspace`], each lane bit-identical to its serial run,
 //! * [`mod@reference`] — the original hash-map solver implementations, kept as
 //!   differential-testing oracles and benchmark baselines,
 //! * [`exact`] — dense power-iteration references used by tests and by the
@@ -33,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod batch;
 pub mod exact;
 pub mod greedy;
 pub mod reference;
@@ -43,7 +39,6 @@ pub mod workspace;
 pub use adaptive::{
     adaptive_diffuse, adaptive_diffuse_in, nongreedy_diffuse, nongreedy_diffuse_in,
 };
-pub use batch::{batch_diffuse, batch_diffuse_in, BatchMode, BatchWorkspace, MAX_LANES};
 pub use greedy::{greedy_diffuse, greedy_diffuse_in};
 pub use sparse_vec::SparseVec;
 pub use workspace::{DiffusionWorkspace, PooledWorkspace, WorkspacePool};
@@ -113,9 +108,6 @@ pub enum DiffusionError {
     BadSigma(f64),
     /// Input vector contained a negative or non-finite entry.
     BadInput(NodeId),
-    /// Batch width outside `1..=MAX_LANES`, or mismatched input/epsilon
-    /// slice lengths.
-    BadBatch(usize),
 }
 
 impl std::fmt::Display for DiffusionError {
@@ -126,9 +118,6 @@ impl std::fmt::Display for DiffusionError {
             DiffusionError::BadSigma(s) => write!(f, "sigma {s} outside [0, 1]"),
             DiffusionError::BadInput(i) => {
                 write!(f, "input vector entry {i} is negative or non-finite")
-            }
-            DiffusionError::BadBatch(lanes) => {
-                write!(f, "batch width {lanes} outside 1..={}", batch::MAX_LANES)
             }
         }
     }

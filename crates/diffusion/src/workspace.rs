@@ -19,10 +19,8 @@
 //! * two **support bitsets** (`supp(r)` and the above-threshold set `γ`),
 //!   maintained as pushes cross the Eq. 15 threshold — extraction scans
 //!   set bits in ascending node order, so every solver converts and
-//!   pushes `γ` in one *canonical* order. That order is what makes the
-//!   batched solver ([`crate::batch`]) bit-identical per lane: a lane's
-//!   pushes inside the shared node-major sweep are an ascending subset
-//!   of the batch's, which is exactly the serial sequence;
+//!   pushes `γ` in one *canonical* order, which fixes every solve's
+//!   float operation sequence independently of push history;
 //! * **incremental aggregates** `|supp(r)|`, `|supp(γ)|` and `vol(r)`,
 //!   updated as pushes happen — the AdaptiveDiffuse branch test becomes
 //!   `O(1)` per iteration.

@@ -40,8 +40,8 @@ pub fn params_fingerprint(params: &LacaParams) -> u64 {
 
 impl ClusterIndex {
     /// Assembles an index from already-shared parts, with the same
-    /// validation as [`Laca::new`] (SNAS params require a TNAM whose size
-    /// matches the graph).
+    /// validation as [`Laca::new`] (`α`/`ε`/`σ` in range; SNAS params
+    /// require a TNAM whose size matches the graph).
     ///
     /// The dataset label starts out `""` — chain [`Self::with_dataset`]
     /// before registering such an index with a

@@ -53,19 +53,6 @@ pub struct ServiceConfig {
     /// is always on — it is a handful of atomic stores per query — so
     /// this knob only sizes the retained window.
     pub spans_per_worker: usize,
-    /// Automatic batch formation: after a worker's blocking dequeue it
-    /// drains up to `batch_max − 1` more already-queued jobs (same
-    /// route/params by construction — one service serves one index;
-    /// expired jobs are excluded and resolve
-    /// [`ServiceError::Expired`]) and answers the group through one
-    /// shared-traversal compute
-    /// ([`laca_core::Laca::bdd_batch_with_stats_in`]), each lane
-    /// bit-identical to its serial answer. `1` (the default) disables
-    /// formation; values are clamped to
-    /// [`laca_diffusion::MAX_LANES`]. Formation never waits for the
-    /// queue to fill — an idle service still answers a lone query at
-    /// single-query latency.
-    pub batch_max: usize,
     /// Seeded fault schedule injected into the worker loop; only
     /// available under `--cfg laca_fault_inject` (the invariant test
     /// suite's build), absent from release builds entirely.
@@ -82,7 +69,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             admission: AdmissionPolicy::Block,
             spans_per_worker: 256,
-            batch_max: 1,
             #[cfg(laca_fault_inject)]
             fault_plan: None,
         }
@@ -123,13 +109,6 @@ impl ServiceConfig {
     /// Sets the per-worker flight-recorder span depth.
     pub fn with_spans_per_worker(mut self, spans: usize) -> Self {
         self.spans_per_worker = spans;
-        self
-    }
-
-    /// Sets the automatic batch-formation width (`1` disables; clamped
-    /// to [`laca_diffusion::MAX_LANES`] at service start).
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
         self
     }
 
@@ -456,36 +435,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Non-blocking multi-pop — the batch-formation drain. Moves up to
-    /// `max` queued jobs into `out` without waiting (an empty queue
-    /// yields zero jobs, never parks the worker) and reports whether the
-    /// queue was already closed when they were handed out (the whole
-    /// drain happens under one lock acquisition, so the flag covers
-    /// every drained job — [`ServiceStats::drained`] accounting).
-    /// Blocked `push`ers are woken for every freed slot.
-    pub(crate) fn try_pop_many(&self, out: &mut Vec<T>, max: usize) -> (usize, bool) {
-        if max == 0 {
-            return (0, false);
-        }
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut popped = 0;
-        while popped < max {
-            match state.jobs.pop_front() {
-                Some(job) => {
-                    out.push(job);
-                    popped += 1;
-                }
-                None => break,
-            }
-        }
-        if popped > 0 {
-            // More than one slot may have freed; wake every parked pusher
-            // rather than chaining notify_one through each.
-            self.not_full.notify_all();
-        }
-        (popped, state.closed)
-    }
-
     pub(crate) fn close(&self) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.not_empty.notify_all();
@@ -510,8 +459,6 @@ struct Counters {
     queue_wait_ns: AtomicU64,
     queue_wait_samples: AtomicU64,
     kernel_pushes: AtomicU64,
-    batches: AtomicU64,
-    batch_jobs: AtomicU64,
 }
 
 impl Counters {
@@ -534,8 +481,6 @@ impl Counters {
             &self.queue_wait_ns,
             &self.queue_wait_samples,
             &self.kernel_pushes,
-            &self.batches,
-            &self.batch_jobs,
         ] {
             // ordering: Relaxed store is deliberate — each counter is
             // independent advisory telemetry; a reset needs no ordering
@@ -614,12 +559,6 @@ pub struct ServiceStats {
     /// Kernel profile: total diffusion push operations across every
     /// computed query (the paper's cost measure, aggregated fleet-wide).
     pub kernel_pushes: u64,
-    /// Multi-job compute groups formed by the batch-formation drain
-    /// (size ≥ 2; singleton computes ride the serial path and are not
-    /// counted here). `batch_jobs / batches` is the mean formed width.
-    pub batches: u64,
-    /// Jobs answered through those batched computes.
-    pub batch_jobs: u64,
     /// Log-bucketed distribution of per-job queue wait, nanoseconds.
     /// The histogram triple replaces "flat sum only" latency telemetry:
     /// percentiles (p50/p99/p999) survive merging across routes and
@@ -670,8 +609,6 @@ impl ServiceStats {
         self.queue_wait_ns += other.queue_wait_ns;
         self.queue_wait_samples += other.queue_wait_samples;
         self.kernel_pushes += other.kernel_pushes;
-        self.batches += other.batches;
-        self.batch_jobs += other.batch_jobs;
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.compute_hist.merge(&other.compute_hist);
         self.total_hist.merge(&other.total_hist);
@@ -702,8 +639,6 @@ impl ServiceStats {
             queue_wait_ns: self.queue_wait_ns.saturating_sub(earlier.queue_wait_ns),
             queue_wait_samples: self.queue_wait_samples.saturating_sub(earlier.queue_wait_samples),
             kernel_pushes: self.kernel_pushes.saturating_sub(earlier.kernel_pushes),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batch_jobs: self.batch_jobs.saturating_sub(earlier.batch_jobs),
             queue_wait_hist: self.queue_wait_hist.delta_since(&earlier.queue_wait_hist),
             compute_hist: self.compute_hist.delta_since(&earlier.compute_hist),
             total_hist: self.total_hist.delta_since(&earlier.total_hist),
@@ -777,9 +712,6 @@ struct Shared {
     telemetry: ServiceTelemetry,
     workspaces: WorkspacePool,
     admission: AdmissionPolicy,
-    /// Batch-formation width a worker drains toward after its blocking
-    /// dequeue (1 = formation off; already clamped to `MAX_LANES`).
-    batch_max: usize,
     /// Workers still running their loop. The last worker to die by an
     /// escaped panic drains the queue on the way out, failing stranded
     /// jobs with [`ServiceError::WorkerLost`] so no waiter hangs.
@@ -865,86 +797,6 @@ impl Shared {
             None => self.telemetry.recorder.record_submit(&span),
         };
     }
-
-    /// Finishes one computed job on worker `wid`: counters, histograms,
-    /// span kernel profile, cache insert, reply delivery (direct send or
-    /// flight resolution), span recording. Shared by the serial path
-    /// (`batch == 1`) and every lane of a batched compute — `outcome` is
-    /// the job's own lane result; `compute_ns`/`compute_end_ns` are the
-    /// group's compute window (each lane's span reports the window of
-    /// the traversal that produced it, not a per-lane attribution).
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &self,
-        wid: usize,
-        job: Job,
-        outcome: Result<(SparseVec, LacaQueryStats), ServiceError>,
-        wait_ns: u64,
-        compute_ns: u64,
-        compute_end_ns: u64,
-        batch: u64,
-        fingerprint: u64,
-    ) {
-        let counters = &self.counters;
-        let telemetry = &self.telemetry;
-        counters.queue_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        counters.queue_wait_samples.fetch_add(1, Ordering::Relaxed);
-        counters.compute_ns.fetch_add(compute_ns, Ordering::Relaxed);
-        counters.compute_samples.fetch_add(1, Ordering::Relaxed);
-        counters.completed.fetch_add(1, Ordering::Relaxed);
-        telemetry.queue_wait.record(wait_ns);
-        telemetry.compute.record(compute_ns);
-        let mut span = job.span;
-        span.compute_end_ns = compute_end_ns;
-        span.batch = batch;
-        let reply: QueryResult = match outcome {
-            Ok((rho, stats)) => {
-                // Kernel profile: both diffusions (RWR seed expansion +
-                // BDD) contribute; peaks take the max, costs sum.
-                span.pushes = (stats.rwr.push_operations + stats.bdd.push_operations) as u64;
-                span.iterations = (stats.rwr.iterations + stats.bdd.iterations) as u64;
-                span.frontier_peak = stats.rwr.frontier_peak.max(stats.bdd.frontier_peak) as u64;
-                span.touched = stats.rwr.touched.max(stats.bdd.touched) as u64;
-                span.epoch_resets = (stats.rwr.epoch_resets + stats.bdd.epoch_resets) as u64;
-                span.outcome = SpanOutcome::Computed;
-                counters.kernel_pushes.fetch_add(span.pushes, Ordering::Relaxed);
-                let answer = Arc::new(QueryAnswer { seed: job.seed, rho, stats });
-                // Cache insert MUST happen before the flight resolves
-                // below: `submit`'s under-lock re-check relies on
-                // "no in-flight entry → a finished flight's answer is
-                // already visible in the cache".
-                if let Some(cache) = &self.cache {
-                    cache.insert((job.seed, fingerprint), Arc::clone(&answer));
-                }
-                Ok(answer)
-            }
-            Err(e) => {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-                span.outcome = SpanOutcome::Failed;
-                Err(e)
-            }
-        };
-        // Waiters that coalesced onto this flight resume with the
-        // leader's answer; an error resolution propagates its outcome.
-        let waiter_outcome = match &reply {
-            Ok(_) => SpanOutcome::Coalesced,
-            Err(e) => outcome_for(e),
-        };
-        span.worker = wid as u32;
-        span.replied_ns = telemetry.recorder.now_ns();
-        match &job.reply {
-            // The submitter may have dropped its handle; that's fine.
-            Reply::Direct(tx) => drop(tx.send(reply)),
-            Reply::Flight => {
-                let inflight =
-                    self.inflight.as_ref().expect("flight job without an in-flight table");
-                let waiters = inflight.resolve(&(job.seed, fingerprint), reply);
-                self.finish_waiter_spans(waiters, waiter_outcome, Some(wid));
-            }
-        }
-        telemetry.total.record(span.total_ns());
-        telemetry.recorder.record_worker(wid, &span);
-    }
 }
 
 /// An embeddable concurrent query engine over one [`ClusterIndex`].
@@ -989,7 +841,6 @@ impl QueryService {
             telemetry: ServiceTelemetry::new(workers, config.spans_per_worker),
             workspaces,
             admission: config.admission,
-            batch_max: config.batch_max.clamp(1, laca_diffusion::MAX_LANES),
             live_workers: AtomicUsize::new(workers),
             #[cfg(laca_fault_inject)]
             faults: config.fault_plan,
@@ -1239,8 +1090,6 @@ impl QueryService {
             queue_wait_ns: c.queue_wait_ns.load(Ordering::Relaxed),
             queue_wait_samples: c.queue_wait_samples.load(Ordering::Relaxed),
             kernel_pushes: c.kernel_pushes.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batch_jobs: c.batch_jobs.load(Ordering::Relaxed),
             queue_wait_hist: self.shared.telemetry.queue_wait.snapshot(),
             compute_hist: self.shared.telemetry.compute.snapshot(),
             total_hist: self.shared.telemetry.total.snapshot(),
@@ -1332,7 +1181,7 @@ pub(crate) fn fill_route_metrics(
     recorder: Option<&FlightRecorder>,
 ) {
     let route_label = [("route", route)];
-    let counters: [(&str, &str, u64); 12] = [
+    let counters: [(&str, &str, u64); 10] = [
         (
             "laca_cache_hits_total",
             "Queries answered from the result cache at submit time.",
@@ -1383,12 +1232,6 @@ pub(crate) fn fill_route_metrics(
             "Diffusion push operations across every computed query.",
             stats.kernel_pushes,
         ),
-        (
-            "laca_batches_total",
-            "Multi-job compute groups formed by the batch-formation drain.",
-            stats.batches,
-        ),
-        ("laca_batch_jobs_total", "Jobs answered through batched computes.", stats.batch_jobs),
     ];
     for (name, help, value) in counters {
         registry.counter(name, help, &route_label, value);
@@ -1494,190 +1337,138 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
     let _exit_guard = ExitGuard(shared);
 
-    /// Resolves every flight key of the in-progress compute group with
-    /// an error if processing unwinds past the per-query containment
-    /// (e.g. a poisoned cache shard): without this, the coalesced
-    /// waiters' senders stay parked in the in-flight table and every
-    /// waiter blocks until service drop. On the normal path the worker
-    /// resolves each key first, so the drop-time resolves are no-ops
-    /// (the entries are already gone). The unwind means this worker is
-    /// dying, so the waiters' error is `WorkerLost` (a panic contained
-    /// *inside* a query stays `QueryPanicked`) — a worker dying
-    /// mid-batch resolves every lane of its group.
+    /// Resolves a flight job's key with an error if processing unwinds
+    /// past the per-query containment (e.g. a poisoned cache shard):
+    /// without this, the coalesced waiters' senders stay parked in the
+    /// in-flight table and every waiter blocks until service drop. On
+    /// the normal path the worker resolves first, so this drop-time
+    /// resolve is a no-op (the entry is already gone). The unwind means
+    /// this worker is dying, so the waiters' error is `WorkerLost` (a
+    /// panic contained *inside* a query stays `QueryPanicked`).
     struct ResolveOnUnwind<'a> {
         shared: &'a Shared,
-        keys: &'a [CacheKey],
+        key: CacheKey,
+        armed: bool,
     }
     impl Drop for ResolveOnUnwind<'_> {
         fn drop(&mut self) {
-            if std::thread::panicking() {
+            if self.armed && std::thread::panicking() {
                 if let Some(inflight) = &self.shared.inflight {
-                    for key in self.keys {
-                        inflight.resolve(key, Err(ServiceError::WorkerLost));
-                    }
+                    inflight.resolve(&self.key, Err(ServiceError::WorkerLost));
                 }
             }
         }
-    }
-
-    /// What one compute group produced: the serial engine call (group of
-    /// one — no per-call `Vec`, preserving the allocation-free steady
-    /// state) or the batched solver's per-lane results.
-    enum Computed {
-        One(Result<(SparseVec, LacaQueryStats), CoreError>),
-        Many(Vec<Result<(SparseVec, LacaQueryStats), CoreError>>),
     }
 
     let engine = shared.index.engine();
     let fingerprint = shared.index.fingerprint();
     let mut workspace = shared.workspaces.checkout();
-    // The batched solver's lane-major workspace, created on the first
-    // formed batch only — a batch_max=1 service never allocates it.
-    let mut batch_ws: Option<laca_diffusion::BatchWorkspace> = None;
-    // Reused across iterations; steady state allocates nothing here.
-    let mut formed: Vec<Job> = Vec::with_capacity(shared.batch_max);
-    let mut ready: Vec<Job> = Vec::with_capacity(shared.batch_max);
-    let mut flight_keys: Vec<CacheKey> = Vec::with_capacity(shared.batch_max);
-    let mut seeds: Vec<NodeId> = Vec::with_capacity(shared.batch_max);
-    let mut waits: Vec<u64> = Vec::with_capacity(shared.batch_max);
     let telemetry = &shared.telemetry;
-    while let Some((job, drained)) = shared.queue.pop_drained() {
-        // Batch formation: one blocking dequeue, then a non-blocking
-        // drain of up to `batch_max − 1` more already-queued jobs. All
-        // jobs of one service share a route and params by construction,
-        // so every drained job is batch-compatible; formation never
-        // waits for more work to arrive.
-        formed.push(job);
-        let mut drained_jobs = u64::from(drained);
-        if shared.batch_max > 1 {
-            let (extra, closed) = shared.queue.try_pop_many(&mut formed, shared.batch_max - 1);
-            if closed {
-                drained_jobs += extra as u64;
-            }
+    let counters = &shared.counters;
+    while let Some((mut job, drained)) = shared.queue.pop_drained() {
+        job.span.dequeued_ns = telemetry.recorder.now_ns();
+        if drained {
+            counters.drained.fetch_add(1, Ordering::Relaxed);
         }
-        let dequeued_ns = telemetry.recorder.now_ns();
-        for job in &mut formed {
-            job.span.dequeued_ns = dequeued_ns;
-        }
-        if drained_jobs > 0 {
-            shared.counters.drained.fetch_add(drained_jobs, Ordering::Relaxed);
-        }
-        // Deadline/cancel check at formation: expired work is dropped,
+        // Deadline/cancel check at dequeue: expired work is dropped,
         // never computed — under overload, queued time eats the
         // deadline, and computing a dead query would only push the next
-        // one past its deadline too. A job expiring mid-formation is
-        // excluded from the group and resolves `Expired` here.
-        for job in formed.drain(..) {
-            if job.expired() {
-                shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                shared.fail_job(job, ServiceError::Expired, Some(wid));
-            } else {
-                ready.push(job);
-            }
+        // one past its deadline too.
+        if job.expired() {
+            counters.expired.fetch_add(1, Ordering::Relaxed);
+            shared.fail_job(job, ServiceError::Expired, Some(wid));
+            continue;
         }
-        flight_keys.clear();
-        flight_keys.extend(
-            ready
-                .iter()
-                .filter(|job| matches!(job.reply, Reply::Flight))
-                .map(|job| (job.seed, fingerprint)),
-        );
-        let _resolve_on_unwind = ResolveOnUnwind { shared, keys: &flight_keys };
+        let _resolve_on_unwind = ResolveOnUnwind {
+            shared,
+            key: (job.seed, fingerprint),
+            armed: matches!(job.reply, Reply::Flight),
+        };
         #[cfg(laca_fault_inject)]
         if let Some(faults) = &shared.faults {
             // Site 1 (stall the worker), then site 2 (kill it) — the
             // kill panics past the containment below; `ResolveOnUnwind`
-            // is already armed with the whole group's flight keys, so
-            // every lane's waiters still resolve.
+            // is already armed, so flight waiters still resolve.
             faults.stall_point();
             faults.worker_kill_point();
         }
-        if ready.is_empty() {
-            continue;
-        }
-        let compute_start_ns = telemetry.recorder.now_ns();
-        waits.clear();
-        for job in &mut ready {
-            job.span.compute_start_ns = compute_start_ns;
-            waits.push(job.enqueued.elapsed().as_nanos() as u64);
-        }
-        seeds.clear();
-        seeds.extend(ready.iter().map(|job| job.seed));
+        let mut span = job.span;
+        let wait_ns = job.enqueued.elapsed().as_nanos() as u64;
         let started = Instant::now();
-        // Contain per-group panics: one poisoned group must not take the
-        // worker (and with it the whole service) down. The workspaces
-        // are safe to reuse afterwards — `begin` epoch-invalidates all
-        // slot state and clears every list at the next compute.
+        span.compute_start_ns = telemetry.recorder.now_ns();
+        // Contain per-query panics: one poisoned query must not take the
+        // worker (and with it the whole service) down. The workspace is
+        // safe to reuse afterwards — `begin` epoch-invalidates all slot
+        // state and clears every list at the next query.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(laca_fault_inject)]
             if let Some(faults) = &shared.faults {
-                // Sites 3 and 4: slow the group down / fail it in a
+                // Sites 3 and 4: slow the query down / fail it in a
                 // contained panic.
                 faults.compute_point();
             }
-            if seeds.len() == 1 {
-                Computed::One(engine.bdd_with_stats_in(seeds[0], &mut workspace))
-            } else {
-                Computed::Many(engine.bdd_batch_with_stats_in(
-                    &seeds,
-                    batch_ws.get_or_insert_with(laca_diffusion::BatchWorkspace::new),
-                ))
-            }
+            engine.bdd_with_stats_in(job.seed, &mut workspace)
         }));
         let compute_ns = started.elapsed().as_nanos() as u64;
-        let compute_end_ns = telemetry.recorder.now_ns();
-        let width = ready.len() as u64;
-        if width >= 2 {
-            shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-            shared.counters.batch_jobs.fetch_add(width, Ordering::Relaxed);
-        }
-        match result {
-            Ok(Computed::One(r)) => {
-                let job = ready.pop().expect("group of one");
-                let outcome = r.map_err(ServiceError::Core);
-                shared.deliver(
-                    wid,
-                    job,
-                    outcome,
-                    waits[0],
-                    compute_ns,
-                    compute_end_ns,
-                    1,
-                    fingerprint,
-                );
-            }
-            Ok(Computed::Many(results)) => {
-                debug_assert_eq!(results.len(), width as usize);
-                for ((job, r), &wait_ns) in ready.drain(..).zip(results).zip(&waits) {
-                    let outcome = r.map_err(ServiceError::Core);
-                    shared.deliver(
-                        wid,
-                        job,
-                        outcome,
-                        wait_ns,
-                        compute_ns,
-                        compute_end_ns,
-                        width,
-                        fingerprint,
-                    );
+        span.compute_end_ns = telemetry.recorder.now_ns();
+        counters.queue_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+        counters.queue_wait_samples.fetch_add(1, Ordering::Relaxed);
+        counters.compute_ns.fetch_add(compute_ns, Ordering::Relaxed);
+        counters.compute_samples.fetch_add(1, Ordering::Relaxed);
+        counters.completed.fetch_add(1, Ordering::Relaxed);
+        telemetry.queue_wait.record(wait_ns);
+        telemetry.compute.record(compute_ns);
+        let reply: QueryResult = match result {
+            Ok(Ok((rho, stats))) => {
+                // Kernel profile: both diffusions (RWR seed expansion +
+                // BDD) contribute; peaks take the max, costs sum.
+                span.pushes = (stats.rwr.push_operations + stats.bdd.push_operations) as u64;
+                span.iterations = (stats.rwr.iterations + stats.bdd.iterations) as u64;
+                span.frontier_peak = stats.rwr.frontier_peak.max(stats.bdd.frontier_peak) as u64;
+                span.touched = stats.rwr.touched.max(stats.bdd.touched) as u64;
+                span.epoch_resets = (stats.rwr.epoch_resets + stats.bdd.epoch_resets) as u64;
+                span.outcome = SpanOutcome::Computed;
+                counters.kernel_pushes.fetch_add(span.pushes, Ordering::Relaxed);
+                let answer = Arc::new(QueryAnswer { seed: job.seed, rho, stats });
+                // Cache insert MUST happen before the flight resolves
+                // below: `submit`'s under-lock re-check relies on
+                // "no in-flight entry → a finished flight's answer is
+                // already visible in the cache".
+                if let Some(cache) = &shared.cache {
+                    cache.insert((job.seed, fingerprint), Arc::clone(&answer));
                 }
+                Ok(answer)
             }
-            // The whole group panicked together (one traversal): every
-            // lane fails `QueryPanicked`; the worker survives.
+            Ok(Err(e)) => {
+                counters.errors.fetch_add(1, Ordering::Relaxed);
+                span.outcome = SpanOutcome::Failed;
+                Err(ServiceError::Core(e))
+            }
             Err(_panic) => {
-                for (job, &wait_ns) in ready.drain(..).zip(&waits) {
-                    shared.deliver(
-                        wid,
-                        job,
-                        Err(ServiceError::QueryPanicked),
-                        wait_ns,
-                        compute_ns,
-                        compute_end_ns,
-                        width,
-                        fingerprint,
-                    );
-                }
+                counters.errors.fetch_add(1, Ordering::Relaxed);
+                span.outcome = SpanOutcome::Failed;
+                Err(ServiceError::QueryPanicked)
+            }
+        };
+        // Waiters that coalesced onto this flight resume with the
+        // leader's answer; an error resolution propagates its outcome.
+        let waiter_outcome = match &reply {
+            Ok(_) => SpanOutcome::Coalesced,
+            Err(e) => outcome_for(e),
+        };
+        span.worker = wid as u32;
+        span.replied_ns = telemetry.recorder.now_ns();
+        match &job.reply {
+            // The submitter may have dropped its handle; that's fine.
+            Reply::Direct(tx) => drop(tx.send(reply)),
+            Reply::Flight => {
+                let inflight =
+                    shared.inflight.as_ref().expect("flight job without an in-flight table");
+                let waiters = inflight.resolve(&(job.seed, fingerprint), reply);
+                shared.finish_waiter_spans(waiters, waiter_outcome, Some(wid));
             }
         }
+        telemetry.total.record(span.total_ns());
+        telemetry.recorder.record_worker(wid, &span);
     }
 }

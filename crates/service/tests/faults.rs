@@ -163,62 +163,6 @@ fn worker_kills_never_strand_a_waiter() {
 }
 
 #[test]
-fn worker_kill_mid_batch_resolves_every_lane() {
-    let ds = dataset();
-    let params = LacaParams::new(1e-4);
-    let expected = serial_bits(&ds, &params, &(0..6).collect::<Vec<_>>());
-    for plan_seed in [9u64, 42, 0xbeef] {
-        // One worker, batching on, killed on a period-4 schedule: when it
-        // dies it is usually holding a multi-job compute group. The
-        // multi-key unwind guard must resolve **every lane** of that
-        // half-finished batch `WorkerLost` — one stranded lane is a hang,
-        // which `resolve`'s watchdog turns into a failure.
-        let plan = Arc::new(FaultPlan::new(plan_seed).with_worker_kill_every(4));
-        let service = QueryService::start(
-            index(&ds, params.clone()),
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(64)
-                .with_cache_per_worker(0)
-                .with_batch_max(8)
-                .with_fault_plan(plan),
-        );
-        let handles: Vec<QueryHandle> = (0..48).map(|i| service.submit(i % 6)).collect();
-        let mut ok = 0u64;
-        let mut lost = 0u64;
-        let mut closed = 0u64;
-        for handle in handles {
-            match resolve(handle) {
-                Ok(answer) => {
-                    assert_eq!(
-                        bit_pairs(&answer.rho),
-                        expected[answer.seed as usize],
-                        "answers computed before the kill stay bit-identical"
-                    );
-                    ok += 1;
-                }
-                Err(ServiceError::WorkerLost) => lost += 1,
-                Err(ServiceError::Closed) => closed += 1,
-                Err(e) => panic!("unexpected outcome: {e}"),
-            }
-        }
-        assert_eq!(ok + lost + closed, 48, "every lane resolves, none hang (seed {plan_seed})");
-        assert!(lost > 0, "a period-4 kill on a lone batching worker must bite");
-        let stats = service.stats();
-        assert_eq!(stats.completed, ok);
-        assert_eq!(
-            stats.cache_misses,
-            ok + lost,
-            "admitted jobs either compute or surface WorkerLost — none vanish"
-        );
-        // A 48-burst against one worker draining up to 8 jobs per
-        // iteration forms real groups before the kill lands.
-        assert!(stats.batch_jobs <= stats.completed + lost);
-        drop(service);
-    }
-}
-
-#[test]
 fn slow_compute_expires_deadlined_work_instead_of_serving_it_late() {
     let ds = dataset();
     let params = LacaParams::new(1e-4);

@@ -146,14 +146,11 @@ pub struct QuerySpan {
     pub touched: u64,
     /// Kernel profile: workspace epoch-counter wrap resets (≈ always 0).
     pub epoch_resets: u64,
-    /// Compute-group width: how many jobs shared this span's batched
-    /// traversal (1 = served alone; 0 = never reached a compute).
-    pub batch: u64,
 }
 
 impl QuerySpan {
     /// Words a span occupies in a ring slot.
-    pub const WORDS: usize = 18;
+    pub const WORDS: usize = 17;
 
     /// Queue residency: dequeue − enqueue (0 if either is unset).
     pub fn queue_wait_ns(&self) -> u64 {
@@ -194,7 +191,6 @@ impl QuerySpan {
             self.frontier_peak,
             self.touched,
             self.epoch_resets,
-            self.batch,
         ]
     }
 
@@ -218,7 +214,6 @@ impl QuerySpan {
             frontier_peak: words[14],
             touched: words[15],
             epoch_resets: words[16],
-            batch: words[17],
         }
     }
 }
@@ -281,7 +276,7 @@ impl SpanRing {
     /// Records one finished span. Returns `false` iff the slot claim was
     /// contested and the span dropped (see [`dropped`](Self::dropped)).
     ///
-    /// Cost: one relaxed RMW, one CAS, nineteen release stores. No
+    /// Cost: one relaxed RMW, one CAS, eighteen release stores. No
     /// allocation — legal inside `hot-path-no-alloc` regions.
     // lint: hot-path
     pub fn record(&self, span: &QuerySpan) -> bool {
@@ -449,7 +444,6 @@ mod tests {
             iterations: 7,
             frontier_peak: 40,
             touched: 900,
-            batch: 4,
             ..QuerySpan::default()
         }
     }
