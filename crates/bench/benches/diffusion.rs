@@ -6,8 +6,8 @@
 //!
 //! Besides the console report, this bench writes a machine-readable
 //! `BENCH_diffusion.json` (override the path with `BENCH_DIFFUSION_JSON`)
-//! containing every timing, so later PRs have a perf trajectory to
-//! compare against.
+//! containing every timing and the `host/threads` it ran on, so later
+//! changes have a perf trajectory to compare against.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use laca_diffusion::{
@@ -49,12 +49,13 @@ fn main() {
         std::env::var("BENCH_DIFFUSION_JSON").map(std::path::PathBuf::from).unwrap_or_else(|_| {
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_diffusion.json")
         });
-    criterion::write_json(&path, &results, &[]).expect("failed to write bench JSON");
+    let derived = [("host/threads".to_string(), rayon::current_num_threads() as f64)];
+    criterion::write_json(&path, &results, &derived).expect("failed to write bench JSON");
     // This custom main bypasses `criterion_main!`, so honor the generic
     // CRITERION_JSON hook here too (README documents it for every suite).
     if let Ok(generic) = std::env::var("CRITERION_JSON") {
         if !generic.is_empty() {
-            criterion::write_json(std::path::Path::new(&generic), &results, &[])
+            criterion::write_json(std::path::Path::new(&generic), &results, &derived)
                 .expect("failed to write CRITERION_JSON");
         }
     }

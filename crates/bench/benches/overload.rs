@@ -25,8 +25,7 @@
 //! `BENCH_overload.json` at the repo root (override with
 //! `BENCH_OVERLOAD_JSON`): per-leg percentile timings over admitted
 //! queries plus derived shed fractions, the p99 degradation ratio, and
-//! the `host/threads` caveat field (the committed baseline comes from a
-//! 1-core container).
+//! the `host/threads` the baseline was recorded on.
 
 use criterion::{percentile_ns, BenchResult};
 use laca_core::tnam::TnamConfig;
@@ -114,9 +113,8 @@ struct LegOutcome {
 }
 
 /// Sleeps-then-yields until `deadline`. Yielding (not spinning) matters
-/// on the 1-core container the baselines come from: a spin-waiting
-/// submitter would steal the worker's CPU and inflate the very service
-/// times the leg measures.
+/// on hosts with few cores: a spin-waiting submitter would steal the
+/// worker's CPU and inflate the very service times the leg measures.
 fn pace_until(deadline: Instant) {
     loop {
         let now = Instant::now();
@@ -287,8 +285,7 @@ fn main() {
     derived.push(("workload/zipf_s".to_string(), ZIPF_S));
     derived.push(("workload/requests".to_string(), REQUESTS as f64));
     derived.push(("workload/queue_depth".to_string(), QUEUE_DEPTH as f64));
-    // Committed baselines come from a 1-core container: read absolute
-    // times and ratios together with this field (PR 4 convention).
+    // Read absolute times and ratios together with this field.
     derived.push(("host/threads".to_string(), rayon::current_num_threads() as f64));
 
     let path =

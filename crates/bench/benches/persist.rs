@@ -96,6 +96,7 @@ fn main() {
         ));
     }
     derived.push(("image/bytes".to_string(), image_len));
+    derived.push(("host/threads".to_string(), rayon::current_num_threads() as f64));
 
     let path =
         std::env::var("BENCH_PERSIST_JSON").map(std::path::PathBuf::from).unwrap_or_else(|_| {

@@ -177,6 +177,7 @@ fn main() {
     derived.push(("workload/batch".to_string(), BATCH as f64));
     derived.push(("workload/fan".to_string(), FAN as f64));
     derived.push(("workload/route_workers".to_string(), ROUTE_WORKERS as f64));
+    derived.push(("host/threads".to_string(), rayon::current_num_threads() as f64));
 
     let path =
         std::env::var("BENCH_ROUTING_JSON").map(std::path::PathBuf::from).unwrap_or_else(|_| {

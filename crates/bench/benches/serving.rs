@@ -7,9 +7,9 @@
 //!
 //! * **cold** — result cache disabled; every query runs the full Algo. 4
 //!   pipeline on a worker. This measures raw compute throughput: it
-//!   scales with workers up to the machine's core count (the committed
-//!   baseline is from a 1-core container, where it is flat by
-//!   construction).
+//!   scales with workers up to the machine's core count (read it with
+//!   the committed baseline's `host/threads`: past that count it is flat
+//!   by construction).
 //! * **warm** — the cache is enabled at the service's default
 //!   *per-worker* budget semantics (each worker contributes a fixed
 //!   number of cached answers, here 128, mirroring sharded serving
@@ -20,8 +20,8 @@
 //!   *even on a single core*, and through compute parallelism beyond it.
 //!
 //! Writes `BENCH_serving.json` at the repo root (override with
-//! `BENCH_SERVING_JSON`): all timings plus derived `qps/*`, `hit_rate/*`
-//! and `scaling/*` entries. The committed copy is the perf-trajectory
+//! `BENCH_SERVING_JSON`): all timings plus derived `qps/*`, `hit_rate/*`,
+//! `scaling/*` and `host/threads` entries. The committed copy is the perf-trajectory
 //! baseline `bench_compare` diffs against.
 
 use criterion::Criterion;
@@ -161,6 +161,7 @@ fn main() {
     derived.push(("workload/seed_pool".to_string(), SEED_POOL as f64));
     derived.push(("workload/warm_batch".to_string(), WARM_BATCH as f64));
     derived.push(("workload/cold_batch".to_string(), COLD_BATCH as f64));
+    derived.push(("host/threads".to_string(), rayon::current_num_threads() as f64));
 
     let path =
         std::env::var("BENCH_SERVING_JSON").map(std::path::PathBuf::from).unwrap_or_else(|_| {

@@ -15,11 +15,11 @@
 //! Writes `BENCH_tnam.json` at the repo root (override with
 //! `BENCH_TNAM_JSON`): raw timings plus derived `speedup/*` ratios and
 //! `host/threads`. **Read speedups together with `host/threads`**: the
-//! committed baseline comes from a 1-core container (`host/threads = 1`),
-//! where serial and parallel legs are expected to tie (speedup ≈ 1.0, the
-//! small gap being scheduler overhead) — the same caveat as the cold legs
-//! of `BENCH_serving.json`. Re-run on a multicore box to record real
-//! scaling; ≥2× at 4 threads is the target for the k-SVD path.
+//! committed baseline comes from a 2-core host (`host/threads = 2`), so
+//! the parallel leg can at best halve the serial one; on one core the
+//! legs tie (speedup ≈ 1.0, the small gap being scheduler overhead) — the
+//! same caveat as the cold legs of `BENCH_serving.json`. ≥2× at 4 threads
+//! is the target for the k-SVD path.
 
 use criterion::Criterion;
 use laca_core::tnam::TnamConfig;

@@ -424,6 +424,107 @@ mod tests {
         .unwrap()
     }
 
+    /// FNV-1a over `(node, ρ′ bits)` in ascending node order.
+    fn rho_digest(rho: &SparseVec) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (i, v) in rho.to_sorted_pairs() {
+            for b in i.to_le_bytes().into_iter().chain(v.to_bits().to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn answers_are_pinned_for_every_backend() {
+        // (|supp ρ′|, digest of ρ′ bits, Step 1 pushes/iterations, Step 3
+        // pushes/iterations) per seed, for each backend with and without
+        // SNAS. Any change to these is a change of answers, not of speed.
+        type Pin = (usize, u64, usize, usize, usize, usize);
+        let ds = dataset();
+        let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(16, MetricFn::Cosine)).unwrap();
+        let seeds = [0, 3, 57, 142];
+        let mut got: Vec<Pin> = Vec::new();
+        let backends =
+            [DiffusionBackend::Adaptive, DiffusionBackend::Greedy, DiffusionBackend::NonGreedy];
+        for eps in [1e-3, 1e-5] {
+            for backend in backends {
+                for use_snas in [true, false] {
+                    let mut params = LacaParams::new(eps).with_backend(backend);
+                    if !use_snas {
+                        params = params.without_snas();
+                    }
+                    let engine = Laca::new(&ds.graph, Some(&tnam), params).unwrap();
+                    for seed in seeds {
+                        let (rho, s) = engine.bdd_with_stats(seed).unwrap();
+                        got.push((
+                            rho.support_size(),
+                            rho_digest(&rho),
+                            s.rwr.push_operations,
+                            s.rwr.iterations,
+                            s.bdd.push_operations,
+                            s.bdd.iterations,
+                        ));
+                    }
+                }
+            }
+        }
+        #[rustfmt::skip]
+        let want: [Pin; 48] = [
+            // ε = 1e-3, then 1e-5; within each: Adaptive, Greedy, NonGreedy,
+            // each with then without SNAS, over `seeds`.
+            (155, 12292869925969466121, 2137, 6, 1749, 11),
+            (200, 11936876422212318724, 1830, 12, 4313, 3),
+            (160, 9248534200680061864, 761, 5, 2528, 9),
+            (199, 188098098658175001, 2304, 12, 3338, 6),
+            (197, 365074712738252396, 2137, 6, 3573, 11),
+            (200, 7663693558414133215, 1830, 12, 4722, 8),
+            (198, 11566250590023828147, 761, 5, 3871, 6),
+            (199, 10405770257304977287, 2304, 12, 3506, 9),
+            (61, 4043472951748651857, 812, 8, 1547, 7),
+            (61, 12909859294573929465, 907, 15, 1538, 7),
+            (74, 648542759956439995, 616, 8, 1493, 6),
+            (58, 8980174517246084345, 795, 10, 1397, 9),
+            (58, 11139775320634174536, 812, 8, 1289, 11),
+            (55, 14571954717418893016, 907, 15, 1361, 9),
+            (73, 17836962352941249878, 616, 8, 1283, 9),
+            (55, 4106894784995083054, 795, 10, 1162, 7),
+            (200, 1446792869967424999, 5215, 6, 1602, 1),
+            (200, 5421230088845949282, 4659, 6, 4806, 3),
+            (198, 539689997821968392, 3665, 5, 1600, 1),
+            (200, 15615022811374678728, 5197, 6, 4806, 3),
+            (200, 11948511990947253471, 5215, 6, 6408, 4),
+            (200, 1243638070170502483, 4659, 6, 8010, 5),
+            (200, 4834473149283086948, 3665, 5, 6406, 4),
+            (200, 15113792257729450794, 5197, 6, 8010, 5),
+            (200, 11015571078431867667, 27643, 20, 30438, 19),
+            (200, 6349377704647434665, 27087, 20, 30438, 19),
+            (200, 141229112658047696, 26093, 19, 30438, 19),
+            (200, 15976510754480398917, 27625, 20, 30438, 19),
+            (200, 6136395045056780780, 27643, 20, 30438, 19),
+            (200, 13971534859702459963, 27087, 20, 32072, 21),
+            (200, 11492365676564392360, 26093, 19, 30438, 19),
+            (200, 2784602517350041140, 27625, 20, 32147, 23),
+            (200, 6729769135927340644, 27630, 25, 30438, 19),
+            (200, 17492089087122638636, 27066, 25, 30438, 19),
+            (200, 141229112658047696, 26093, 19, 30438, 19),
+            (200, 12206463898931271174, 27627, 25, 30438, 19),
+            (200, 15449905571849468481, 27630, 25, 30436, 19),
+            (200, 15167530174636122718, 27066, 25, 32039, 26),
+            (200, 18066753941432169980, 26093, 19, 30435, 19),
+            (200, 11743079701672919184, 27627, 25, 32043, 28),
+            (200, 11015571078431867667, 27643, 20, 30438, 19),
+            (200, 6349377704647434665, 27087, 20, 30438, 19),
+            (200, 141229112658047696, 26093, 19, 30438, 19),
+            (200, 15976510754480398917, 27625, 20, 30438, 19),
+            (200, 6136395045056780780, 27643, 20, 30438, 19),
+            (200, 118900678496110078, 27087, 20, 32040, 20),
+            (200, 11492365676564392360, 26093, 19, 30438, 19),
+            (200, 5783250621225884789, 27625, 20, 32040, 20),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn bdd_satisfies_theorem_v4_bound() {
         // When Eq. 10 holds (s := z·z from the TNAM itself), Theorem V.4:

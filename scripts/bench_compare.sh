@@ -47,7 +47,7 @@ metric_for() {
 }
 
 status=0
-for suite in diffusion serving tnam routing overload persist; do
+for suite in diffusion serving tnam routing overload persist laca_online; do
     baseline="BENCH_${suite}.json"
     if [[ ! -f "$baseline" ]]; then
         echo "skipping $suite: no committed $baseline"
