@@ -15,39 +15,43 @@ use rustc_hash::FxHashSet;
 /// than `size`, the result is simply shorter (the caller decides whether to
 /// pad; precision evaluation does not reward padding with random nodes).
 pub fn top_k_cluster(score: &SparseVec, seed: NodeId, size: usize) -> Vec<NodeId> {
+    top_k_of(score.iter().collect(), seed, size)
+}
+
+/// Same extraction from a dense score vector (global baselines produce
+/// dense scores); zero scores are not candidates.
+pub fn top_k_cluster_dense(score: &[f64], seed: NodeId, size: usize) -> Vec<NodeId> {
+    let pairs = score.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+    top_k_of(pairs.map(|(i, &v)| (i as NodeId, v)).collect(), seed, size)
+}
+
+/// Rank order of [`SparseVec::to_ranked_pairs`]: value descending, ties
+/// by node id — a total order over distinct nodes.
+fn by_rank(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
+}
+
+/// The top `size` of `pairs` (distinct nodes) in rank order, with the
+/// seed rule of [`top_k_cluster`]. Selects the top `size` in `O(|pairs|)`
+/// and sorts only those — the same prefix a full sort would give, since
+/// [`by_rank`] is a total order.
+fn top_k_of(mut pairs: Vec<(NodeId, f64)>, seed: NodeId, size: usize) -> Vec<NodeId> {
     if size == 0 {
         return vec![seed];
     }
-    let ranked = score.to_ranked_pairs();
-    let mut cluster = Vec::with_capacity(size);
-    let mut has_seed = false;
-    for &(v, _) in ranked.iter().take(size) {
-        if v == seed {
-            has_seed = true;
-        }
-        cluster.push(v);
+    if pairs.len() > size {
+        pairs.select_nth_unstable_by(size - 1, by_rank);
+        pairs.truncate(size);
     }
-    if !has_seed {
+    pairs.sort_unstable_by(by_rank);
+    let mut cluster: Vec<NodeId> = pairs.into_iter().map(|(v, _)| v).collect();
+    if !cluster.contains(&seed) {
         if cluster.len() == size {
             cluster.pop();
         }
         cluster.insert(0, seed);
     }
     cluster
-}
-
-/// Same extraction from a dense score vector (global baselines produce
-/// dense scores).
-pub fn top_k_cluster_dense(score: &[f64], seed: NodeId, size: usize) -> Vec<NodeId> {
-    let mut ranked: Vec<(NodeId, f64)> = score
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v != 0.0)
-        .map(|(i, &v)| (i as NodeId, v))
-        .collect();
-    ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    let sparse = SparseVec::from_pairs(ranked.into_iter().take(size + 1));
-    top_k_cluster(&sparse, seed, size)
 }
 
 /// Sweep cut: scans prefixes of the score order and returns the prefix with
@@ -91,6 +95,7 @@ pub fn sweep_cut(graph: &CsrGraph, score: &SparseVec) -> (Vec<NodeId>, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn two_triangles() -> CsrGraph {
         // Two triangles joined by one edge: the sweep must find a triangle.
@@ -129,6 +134,43 @@ mod tests {
         let dense = vec![0.9, 0.5, 0.7, 0.1];
         let sparse = SparseVec::from_pairs([(0, 0.9), (1, 0.5), (2, 0.7), (3, 0.1)]);
         assert_eq!(top_k_cluster_dense(&dense, 0, 3), top_k_cluster(&sparse, 0, 3));
+    }
+
+    /// The full-sort extraction: rank everything, keep the first `size`,
+    /// force the seed in at the front (dropping the last) if it is absent.
+    fn full_sort_top_k(score: &SparseVec, seed: NodeId, size: usize) -> Vec<NodeId> {
+        if size == 0 {
+            return vec![seed];
+        }
+        let ranked = score.to_ranked_pairs();
+        let mut top: Vec<NodeId> = ranked.iter().take(size).map(|&(v, _)| v).collect();
+        if !top.contains(&seed) {
+            top.truncate(size - 1);
+            top.insert(0, seed);
+        }
+        top
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_matches_a_full_sort(
+            // Scores from six levels, so ties are common.
+            entries in proptest::collection::vec((0u32..40, 1u32..7), 0..40),
+            seed in 0u32..48,
+            size in 0usize..48,
+        ) {
+            let mut score = SparseVec::new();
+            let mut dense = vec![0.0; 40];
+            for (v, level) in entries {
+                score.set(v, f64::from(level) * 0.125);
+                dense[v as usize] = f64::from(level) * 0.125;
+            }
+            let want = full_sort_top_k(&score, seed, size);
+            prop_assert_eq!(top_k_cluster(&score, seed, size), want.clone());
+            prop_assert_eq!(top_k_cluster_dense(&dense, seed, size), want);
+        }
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //! The predicted local cluster is the top-`|Cs|` nodes of `ρ'`
 //! (Section II-D). Total time `O(k / ((1−α)·ε))` — Theorem V.4 gives the
 //! approximation bound, Lemma IV.3 the output-volume bound.
+//!
+//! Steps 1→3 stay in the [`DiffusionWorkspace`]: `π'` is read back in
+//! ascending node order into the workspace's
+//! [`PairBuffers`](laca_diffusion::PairBuffers), `φ'` is
+//! built there as an ascending pair slice and diffused as is, and `ρ'` is
+//! the only hash map a query builds.
 
 use crate::extract::top_k_cluster;
 use crate::{CoreError, Tnam};
 use laca_diffusion::workspace::with_thread_workspace;
 use laca_diffusion::{
-    adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in, DiffusionParams, DiffusionStats,
-    DiffusionWorkspace, SparseVec,
+    adaptive_diffuse_pairs_in, greedy_diffuse_pairs_in, nongreedy_diffuse_pairs_in,
+    DiffusionParams, DiffusionStats, DiffusionWorkspace, SparseVec,
 };
 use laca_graph::{CsrGraph, NodeId};
 use std::sync::Arc;
@@ -124,7 +130,7 @@ pub struct LacaQueryStats {
     pub bdd: DiffusionStats,
     /// `|supp(π')|`.
     pub rwr_support: usize,
-    /// `‖φ'‖₁` fed to Step 3.
+    /// `‖φ'‖₁` fed to Step 3, summed in ascending node order.
     pub phi_l1: f64,
 }
 
@@ -230,20 +236,22 @@ impl<'g> Laca<'g> {
         &self.params
     }
 
+    /// Runs the configured solver from `f` at threshold `epsilon`; the
+    /// result stays in `ws`.
     fn diffuse(
         &self,
-        f: &SparseVec,
+        f: &[(NodeId, f64)],
         epsilon: f64,
         ws: &mut DiffusionWorkspace,
-    ) -> Result<laca_diffusion::DiffusionResult, CoreError> {
+    ) -> Result<DiffusionStats, CoreError> {
         let dp = self.params.diffusion(epsilon);
         let graph = self.graph.get();
-        let out = match self.params.backend {
-            DiffusionBackend::Adaptive => adaptive_diffuse_in(graph, f, &dp, ws)?,
-            DiffusionBackend::Greedy => greedy_diffuse_in(graph, f, &dp, ws)?,
-            DiffusionBackend::NonGreedy => nongreedy_diffuse_in(graph, f, &dp, ws)?,
+        let stats = match self.params.backend {
+            DiffusionBackend::Adaptive => adaptive_diffuse_pairs_in(graph, f, &dp, ws)?,
+            DiffusionBackend::Greedy => greedy_diffuse_pairs_in(graph, f, &dp, ws)?,
+            DiffusionBackend::NonGreedy => nongreedy_diffuse_pairs_in(graph, f, &dp, ws)?,
         };
-        Ok(out)
+        Ok(stats)
     }
 
     /// Approximate BDD vector `ρ'` for a seed node, with telemetry.
@@ -256,7 +264,9 @@ impl<'g> Laca<'g> {
         with_thread_workspace(|ws| self.bdd_with_stats_in(seed, ws))
     }
 
-    /// [`Laca::bdd_with_stats`] on a caller-managed workspace.
+    /// [`Laca::bdd_with_stats`] on a caller-managed workspace. After
+    /// warm-up a query allocates only its `ρ'` (and the TNAM's `ψ`
+    /// accumulator).
     pub fn bdd_with_stats_in(
         &self,
         seed: NodeId,
@@ -266,26 +276,29 @@ impl<'g> Laca<'g> {
         if seed as usize >= graph.n() {
             return Err(CoreError::BadParameter("seed node out of range"));
         }
-        let mut stats = LacaQueryStats::default();
+        // Step 1: π' = AdaptiveDiffuse(1⁽ˢ⁾), read back in ascending node
+        // order.
+        let rwr = self.diffuse(&[(seed, 1.0)], self.params.epsilon, ws)?;
+        let mut stats = LacaQueryStats { rwr, ..LacaQueryStats::default() };
+        let mut bufs = ws.take_pair_buffers();
+        ws.reserve_sorted_into(&mut bufs.reserve);
+        stats.rwr_support = bufs.reserve.len();
 
-        // Step 1: π' = AdaptiveDiffuse(1⁽ˢ⁾).
-        let rwr = self.diffuse(&SparseVec::unit(seed), self.params.epsilon, ws)?;
-        stats.rwr = rwr.stats.clone();
-        stats.rwr_support = rwr.reserve.support_size();
-        let pi = rwr.reserve;
-
-        // Step 2: φ', iterating over ascending node ids.
-        let phi = step2_phi(graph, self.tnam_for_query(), &pi.to_sorted_pairs());
-        let phi_l1 = phi.l1_norm();
+        // Step 2: φ' over the ascending π' support.
+        step2_phi(graph, self.tnam_for_query(), &bufs.reserve, &mut bufs.input);
+        let phi_l1: f64 = bufs.input.iter().map(|&(_, v)| v).sum();
         stats.phi_l1 = phi_l1;
         if phi_l1 == 0.0 {
+            ws.restore_pair_buffers(bufs);
             return Ok((SparseVec::new(), stats));
         }
 
         // Step 3: diffuse φ' with threshold ε·‖φ'‖₁, then divide by degree.
-        let bdd = self.diffuse(&phi, self.params.epsilon * phi_l1, ws)?;
-        stats.bdd = bdd.stats.clone();
-        let rho = step3_rho(graph, &bdd.reserve.to_sorted_pairs());
+        let bdd = self.diffuse(&bufs.input, self.params.epsilon * phi_l1, ws);
+        ws.restore_pair_buffers(bufs);
+        stats.bdd = bdd?;
+        let mut rho = SparseVec::with_capacity(ws.reserve_len());
+        ws.for_each_reserve(|i, q| rho.set(i, q / graph.weighted_degree(i)));
         Ok((rho, stats))
     }
 
@@ -339,49 +352,41 @@ impl<'g> Laca<'g> {
     }
 }
 
-/// Step 2 (Eq. 12/13) over a sorted `π'` support: `ψ = Σ π'_i · z⁽ⁱ⁾`,
-/// then `φ'_i = max(ψ·z⁽ⁱ⁾, 0) · d(v_i)`; without a TNAM the
-/// identity-SNAS degenerate form `φ'_i = π'_i · d(v_i)`.
+/// Step 2 (Eq. 12/13) over the ascending `π'` support `pi`, written to
+/// `phi` (cleared first) in the same order: `ψ = Σ π'_i · z⁽ⁱ⁾`, then
+/// `φ'_i = max(ψ·z⁽ⁱ⁾, 0) · d(v_i)`; without a TNAM the identity-SNAS
+/// degenerate form `φ'_i = π'_i · d(v_i)`. Zero entries are left out, so
+/// `phi` is exactly `supp(φ')`.
 ///
-/// Pairs arrive in ascending node order, which fixes the float op
-/// sequence (and the `φ'` map layout, hence the `l1_norm` summation
-/// order) for a seed.
-fn step2_phi(graph: &CsrGraph, tnam: Option<&Tnam>, pairs: &[(NodeId, f64)]) -> SparseVec {
+/// The ascending order fixes the float op sequence for a seed — of `ψ`,
+/// of `‖φ'‖₁`, and of Step 3's seeding.
+fn step2_phi(
+    graph: &CsrGraph,
+    tnam: Option<&Tnam>,
+    pi: &[(NodeId, f64)],
+    phi: &mut Vec<(NodeId, f64)>,
+) {
+    phi.clear();
+    let nonzero = |&(_, v): &(NodeId, f64)| v != 0.0;
     match tnam {
         Some(tnam) => {
             let mut psi = tnam.new_accumulator();
-            for &(i, v) in pairs {
+            for &(i, v) in pi {
                 tnam.accumulate_into(&mut psi, i as usize, v);
             }
-            let mut phi = SparseVec::new();
-            for &(i, _) in pairs {
-                // Random-feature noise can push ψ·z⁽ⁱ⁾ slightly below
-                // zero; clamp so Step 3's input stays a valid
-                // non-negative diffusion vector.
-                let val = tnam.dot_row(&psi, i as usize).max(0.0) * graph.weighted_degree(i);
-                phi.set(i, val);
-            }
-            phi
+            // Random-feature noise can push ψ·z⁽ⁱ⁾ slightly below zero;
+            // clamp so Step 3's input stays a valid non-negative diffusion
+            // vector.
+            let phi_i = |&(i, _): &(NodeId, f64)| {
+                (i, tnam.dot_row(&psi, i as usize).max(0.0) * graph.weighted_degree(i))
+            };
+            phi.extend(pi.iter().map(phi_i).filter(nonzero));
         }
+        // w/o SNAS: s(v_i, v_j) = [i = j], so φ'_i = π'_i · d(v_i).
         None => {
-            // w/o SNAS: s(v_i, v_j) = [i = j], so φ'_i = π'_i · d(v_i).
-            let mut phi = SparseVec::new();
-            for &(i, v) in pairs {
-                phi.set(i, v * graph.weighted_degree(i));
-            }
-            phi
+            phi.extend(pi.iter().map(|&(i, v)| (i, v * graph.weighted_degree(i))).filter(nonzero))
         }
     }
-}
-
-/// Final degree normalization of Algo. 4 over a sorted BDD reserve:
-/// `ρ'_i = q_i / d(v_i)`.
-fn step3_rho(graph: &CsrGraph, pairs: &[(NodeId, f64)]) -> SparseVec {
-    let mut rho = SparseVec::new();
-    for &(i, v) in pairs {
-        rho.set(i, v / graph.weighted_degree(i));
-    }
-    rho
 }
 
 // An Arc-built engine must be shareable across a worker pool. If a future
@@ -592,6 +597,78 @@ mod tests {
         let ranked = rho.to_ranked_pairs();
         let pos = ranked.iter().position(|&(v, _)| v == 5).unwrap();
         assert!(pos < 20, "seed ranked at {pos}");
+    }
+
+    type Answer = (Vec<(NodeId, u64)>, LacaQueryStats);
+
+    fn answer(engine: &Laca<'_>, seed: NodeId, ws: &mut DiffusionWorkspace) -> Answer {
+        let (rho, stats) = engine.bdd_with_stats_in(seed, ws).unwrap();
+        let bits = rho.to_sorted_pairs().into_iter().map(|(i, v)| (i, v.to_bits())).collect();
+        (bits, stats)
+    }
+
+    #[test]
+    fn warm_queries_do_not_grow_the_workspace() {
+        let ds = dataset();
+        let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(16, MetricFn::Cosine)).unwrap();
+        let seeds = [0, 3, 57, 142];
+        for backend in [DiffusionBackend::Adaptive, DiffusionBackend::Greedy] {
+            for params in [LacaParams::new(1e-4), LacaParams::new(1e-4).without_snas()] {
+                let engine =
+                    Laca::new(&ds.graph, Some(&tnam), params.with_backend(backend)).unwrap();
+                let mut ws = DiffusionWorkspace::for_graph(&ds.graph);
+                for seed in seeds {
+                    engine.bdd_with_stats_in(seed, &mut ws).unwrap();
+                }
+                let warm = ws.capacity_signature();
+                assert!(warm[4] > 0 && warm[5] > 0, "π′/φ′ buffers were not kept: {warm:?}");
+                for seed in seeds {
+                    engine.bdd_with_stats_in(seed, &mut ws).unwrap();
+                    assert_eq!(ws.capacity_signature(), warm, "{backend:?} seed {seed} grew");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn isolated_seed_returns_empty_and_leaves_the_workspace_clean() {
+        // Node 4 has no edges: π′ = {4: 1−α}, so φ′ = π′·d = 0 and Step 3
+        // never runs.
+        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
+        let engine = Laca::new(&g, None, LacaParams::new(1e-4).without_snas()).unwrap();
+        let mut ws = DiffusionWorkspace::new();
+        let (rho, stats) = engine.bdd_with_stats_in(4, &mut ws).unwrap();
+        assert!(rho.is_empty());
+        assert_eq!((stats.rwr_support, stats.phi_l1, stats.bdd.iterations), (1, 0.0, 0));
+        let fresh = answer(&engine, 0, &mut DiffusionWorkspace::new());
+        assert!(!fresh.0.is_empty());
+        assert_eq!(answer(&engine, 0, &mut ws), fresh);
+    }
+
+    #[test]
+    fn failed_and_panicked_queries_leave_no_trace() {
+        let ds = dataset();
+        let tnam = Tnam::build(&ds.attributes, &TnamConfig::new(16, MetricFn::Cosine)).unwrap();
+        let engine = Laca::new(&ds.graph, Some(&tnam), LacaParams::new(1e-4)).unwrap();
+        let fresh = answer(&engine, 3, &mut DiffusionWorkspace::new());
+        let mut ws = DiffusionWorkspace::new();
+        answer(&engine, 57, &mut ws);
+
+        // An out-of-range seed fails before touching the workspace.
+        assert!(engine.bdd_with_stats_in(10_000, &mut ws).is_err());
+        assert_eq!(answer(&engine, 3, &mut ws), fresh);
+
+        // A panic between Step 1 and Step 3 leaves Step 1's state in the
+        // workspace and drops the lent π′/φ′ buffers on unwind.
+        let step1 = DiffusionParams::new(0.8, 1e-4);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            adaptive_diffuse_pairs_in(&ds.graph, &[(142, 1.0)], &step1, &mut ws).unwrap();
+            let mut bufs = ws.take_pair_buffers();
+            ws.reserve_sorted_into(&mut bufs.reserve);
+            panic!("query dies in Step 2");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(answer(&engine, 3, &mut ws), fresh);
     }
 
     #[test]

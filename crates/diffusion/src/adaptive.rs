@@ -18,8 +18,11 @@
 
 use crate::workspace::{with_thread_workspace, DiffusionWorkspace};
 use crate::SparseVec;
-use crate::{check_input, DiffusionError, DiffusionParams, DiffusionResult, DiffusionStats};
-use laca_graph::CsrGraph;
+use crate::{
+    check_input, pairs_l1, solve_sparse, DiffusionError, DiffusionParams, DiffusionResult,
+    DiffusionStats,
+};
+use laca_graph::{CsrGraph, NodeId};
 
 /// Pure non-greedy diffusion: iterates Eq. 17 until every residual entry is
 /// below the Eq. 15 threshold. This is the "Non-greedy" series of Fig. 5 and
@@ -41,8 +44,21 @@ pub fn nongreedy_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    solve_sparse(nongreedy_diffuse_pairs_in, graph, f, params, ws)
+}
+
+/// The non-greedy iteration from the `(node, value)` pairs `f`
+/// (duplicates sum), leaving `q` and `r` in `ws`. The solver's one push
+/// loop.
+// lint: hot-path
+pub fn nongreedy_diffuse_pairs_in(
+    graph: &CsrGraph,
+    f: &[(NodeId, f64)],
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter().copied())?;
     let epoch_resets_before = ws.epoch_resets_total();
     ws.begin(graph.n());
     ws.seed::<true>(graph, params.epsilon, f);
@@ -57,11 +73,8 @@ pub fn nongreedy_diffuse_in(
             stats.residual_history.push(ws.residual_l1());
         }
     }
-    stats.frontier_peak = ws.frontier_peak();
-    stats.touched = ws.touched_len();
-    stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    ws.profile(&mut stats, epoch_resets_before);
+    Ok(stats)
 }
 
 /// Runs AdaptiveDiffuse (Algo. 2) on `graph` from the initial vector `f`,
@@ -87,13 +100,28 @@ pub fn adaptive_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    solve_sparse(adaptive_diffuse_pairs_in, graph, f, params, ws)
+}
+
+/// AdaptiveDiffuse from the `(node, value)` pairs `f` (duplicates sum),
+/// leaving `q` and `r` in `ws` — read them back with
+/// [`DiffusionWorkspace::reserve_sorted_into`] or
+/// [`DiffusionWorkspace::for_each_reserve`]. The solver's one push loop;
+/// the budget `‖f‖₁/((1−α)ε)` sums `f` in slice order.
+// lint: hot-path
+pub fn adaptive_diffuse_pairs_in(
+    graph: &CsrGraph,
+    f: &[(NodeId, f64)],
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter().copied())?;
     let epoch_resets_before = ws.epoch_resets_total();
     ws.begin(graph.n());
     ws.seed::<true>(graph, params.epsilon, f);
     let mut stats = DiffusionStats::default();
-    let budget = f.l1_norm() / ((1.0 - params.alpha) * params.epsilon);
+    let budget = pairs_l1(f) / ((1.0 - params.alpha) * params.epsilon);
     loop {
         // Branch test (Algo. 2 line 3) — all three quantities are
         // maintained incrementally by the workspace, so this is O(1).
@@ -119,11 +147,8 @@ pub fn adaptive_diffuse_in(
             stats.residual_history.push(ws.residual_l1());
         }
     }
-    stats.frontier_peak = ws.frontier_peak();
-    stats.touched = ws.touched_len();
-    stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    ws.profile(&mut stats, epoch_resets_before);
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@
 
 use crate::workspace::{with_thread_workspace, DiffusionWorkspace};
 use crate::SparseVec;
-use crate::{check_input, DiffusionError, DiffusionParams, DiffusionResult, DiffusionStats};
-use laca_graph::CsrGraph;
+use crate::{
+    check_input, solve_sparse, DiffusionError, DiffusionParams, DiffusionResult, DiffusionStats,
+};
+use laca_graph::{CsrGraph, NodeId};
 
 /// Runs GreedyDiffuse on `graph` from the initial vector `f`, using the
 /// calling thread's cached workspace.
@@ -38,8 +40,22 @@ pub fn greedy_diffuse_in(
     params: &DiffusionParams,
     ws: &mut DiffusionWorkspace,
 ) -> Result<DiffusionResult, DiffusionError> {
+    solve_sparse(greedy_diffuse_pairs_in, graph, f, params, ws)
+}
+
+/// GreedyDiffuse from the `(node, value)` pairs `f` (duplicates sum),
+/// leaving `q` and `r` in `ws` — read them back with
+/// [`DiffusionWorkspace::reserve_sorted_into`] or
+/// [`DiffusionWorkspace::for_each_reserve`]. The solver's one push loop.
+// lint: hot-path
+pub fn greedy_diffuse_pairs_in(
+    graph: &CsrGraph,
+    f: &[(NodeId, f64)],
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter().copied())?;
     let epoch_resets_before = ws.epoch_resets_total();
     ws.begin(graph.n());
     ws.seed::<false>(graph, params.epsilon, f);
@@ -53,11 +69,8 @@ pub fn greedy_diffuse_in(
             stats.residual_history.push(ws.residual_l1());
         }
     }
-    stats.frontier_peak = ws.frontier_peak();
-    stats.touched = ws.touched_len();
-    stats.epoch_resets = (ws.epoch_resets_total() - epoch_resets_before) as usize;
-    let (reserve, residual) = ws.to_sparse();
-    Ok(DiffusionResult { reserve, residual, stats })
+    ws.profile(&mut stats, epoch_resets_before);
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -17,6 +17,15 @@
 //!   [`workspace::with_thread_workspace`], checked out of a shared
 //!   [`WorkspacePool`], or caller-managed through the `*_diffuse_in`
 //!   entry points),
+//! * two entry points per solver: `*_diffuse_pairs_in` is the one push
+//!   loop — input a `(node, value)` slice, output left in the workspace,
+//!   read back in ascending node order
+//!   ([`DiffusionWorkspace::reserve_sorted_into`]) or visited in place
+//!   ([`DiffusionWorkspace::for_each_reserve`]); `*_diffuse_in` wraps it
+//!   for [`SparseVec`] callers (input taken in `f.iter()` order, result
+//!   converted back with `to_sparse`). Callers that chain solves — LACA's
+//!   Steps 1→3 — stay on the first and never build a hash map between
+//!   steps,
 //! * [`greedy_diffuse`] — Algo. 1 (**GreedyDiffuse**),
 //! * [`nongreedy_diffuse`] — the full-front iteration of Eq. 17 that the
 //!   paper's Section IV-B study compares against,
@@ -37,13 +46,14 @@ pub mod sparse_vec;
 pub mod workspace;
 
 pub use adaptive::{
-    adaptive_diffuse, adaptive_diffuse_in, nongreedy_diffuse, nongreedy_diffuse_in,
+    adaptive_diffuse, adaptive_diffuse_in, adaptive_diffuse_pairs_in, nongreedy_diffuse,
+    nongreedy_diffuse_in, nongreedy_diffuse_pairs_in,
 };
-pub use greedy::{greedy_diffuse, greedy_diffuse_in};
+pub use greedy::{greedy_diffuse, greedy_diffuse_in, greedy_diffuse_pairs_in};
 pub use sparse_vec::SparseVec;
-pub use workspace::{DiffusionWorkspace, PooledWorkspace, WorkspacePool};
+pub use workspace::{DiffusionWorkspace, PairBuffers, PooledWorkspace, WorkspacePool};
 
-use laca_graph::NodeId;
+use laca_graph::{CsrGraph, NodeId};
 
 /// Parameters shared by all diffusion solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,7 +153,7 @@ pub struct DiffusionStats {
     /// above-threshold residual was pending at the worst moment).
     pub frontier_peak: usize,
     /// Distinct nodes the push loops touched (the size of the query's
-    /// dense working set; bounds the `to_sparse` output pass).
+    /// dense working set; bounds every reserve read-back pass).
     pub touched: usize,
     /// Workspace epoch-stamp wrap-arounds absorbed by this run's
     /// `begin` (a full `O(n)` stamp reset; happens once every 2³²
@@ -164,11 +174,44 @@ pub struct DiffusionResult {
     pub stats: DiffusionStats,
 }
 
-pub(crate) fn check_input(f: &SparseVec) -> Result<(), DiffusionError> {
-    for (i, v) in f.iter() {
+pub(crate) fn check_input(
+    f: impl IntoIterator<Item = (NodeId, f64)>,
+) -> Result<(), DiffusionError> {
+    for (i, v) in f {
         if !(v.is_finite() && v >= 0.0) {
             return Err(DiffusionError::BadInput(i));
         }
     }
     Ok(())
+}
+
+/// `‖f‖₁` of a pair slice, summed in slice order (for a slice collected
+/// from a [`SparseVec`], bit-identical to [`SparseVec::l1_norm`]).
+pub(crate) fn pairs_l1(f: &[(NodeId, f64)]) -> f64 {
+    f.iter().map(|&(_, v)| v.abs()).sum()
+}
+
+/// A solver's one push loop: input pairs in, result left in the workspace.
+type PairsSolver = fn(
+    &CsrGraph,
+    &[(NodeId, f64)],
+    &DiffusionParams,
+    &mut DiffusionWorkspace,
+) -> Result<DiffusionStats, DiffusionError>;
+
+/// Runs `solve` for a [`SparseVec`] caller: the input is taken in
+/// `f.iter()` order — so the float operations match the hash-map
+/// original's, ‖f‖₁ included — and the result converted back with
+/// `to_sparse`.
+pub(crate) fn solve_sparse(
+    solve: PairsSolver,
+    graph: &CsrGraph,
+    f: &SparseVec,
+    params: &DiffusionParams,
+    ws: &mut DiffusionWorkspace,
+) -> Result<DiffusionResult, DiffusionError> {
+    let pairs: Vec<(NodeId, f64)> = f.iter().collect();
+    let stats = solve(graph, &pairs, params, ws)?;
+    let (reserve, residual) = ws.to_sparse();
+    Ok(DiffusionResult { reserve, residual, stats })
 }

@@ -83,7 +83,7 @@ pub fn greedy_diffuse(
     params: &DiffusionParams,
 ) -> Result<DiffusionResult, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter())?;
     let mut r = f.clone();
     let mut q = SparseVec::new();
     let mut stats = DiffusionStats::default();
@@ -109,7 +109,7 @@ pub fn nongreedy_diffuse(
     params: &DiffusionParams,
 ) -> Result<DiffusionResult, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter())?;
     let mut r = f.clone();
     let mut q = SparseVec::new();
     let mut stats = DiffusionStats::default();
@@ -137,7 +137,7 @@ pub fn adaptive_diffuse(
     params: &DiffusionParams,
 ) -> Result<DiffusionResult, DiffusionError> {
     params.validate()?;
-    check_input(f)?;
+    check_input(f.iter())?;
     let mut r = f.clone();
     let mut q = SparseVec::new();
     let mut stats = DiffusionStats::default();

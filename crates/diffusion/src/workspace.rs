@@ -13,9 +13,10 @@
 //!   cache-line access, validated by **epoch stamps** (beginning a query
 //!   bumps one counter instead of clearing `O(n)` memory: zero allocation,
 //!   zero hashing, zero clearing);
-//! * a **touched list** recording each node's first touch, so converting
-//!   the result back to [`SparseVec`] and scanning the residual support
-//!   both cost `O(touched)`, never `O(n)`;
+//! * a **touched list** recording each node's first touch, so reading the
+//!   reserve back (ascending into a reused buffer, visited in place, or
+//!   converted to [`SparseVec`]) and scanning the residual support all
+//!   cost `O(touched)`, never `O(n)`;
 //! * two **support bitsets** (`supp(r)` and the above-threshold set `γ`),
 //!   maintained as pushes cross the Eq. 15 threshold — extraction scans
 //!   set bits in ascending node order, so every solver converts and
@@ -24,6 +25,10 @@
 //! * **incremental aggregates** `|supp(r)|`, `|supp(γ)|` and `vol(r)`,
 //!   updated as pushes happen — the AdaptiveDiffuse branch test becomes
 //!   `O(1)` per iteration.
+//!
+//! A caller that chains solves, as LACA's Steps 1→3 do, keeps its
+//! intermediate vectors in the workspace's [`PairBuffers`], so a warm
+//! query allocates nothing between the diffusions either.
 //!
 //! The workspace is sized to the largest graph it has seen and is reusable
 //! across queries *and* across graphs (per-graph data such as `1/d(v)`
@@ -85,6 +90,8 @@ pub struct DiffusionWorkspace {
     /// Extracted `γ` entries `(node, value, 1/d)` between the extract and
     /// push phases.
     gamma: Vec<(NodeId, f64, f64)>,
+    /// Reusable pair buffers lent out by [`DiffusionWorkspace::take_pair_buffers`].
+    pairs: PairBuffers,
     /// `|supp(r)|`, maintained incrementally.
     supp_r: usize,
     /// Nodes whose reserve went non-zero (sizes the output map exactly).
@@ -111,6 +118,20 @@ pub struct DiffusionWorkspace {
     /// Pushes not traced because `trace` was full.
     #[cfg(laca_trace)]
     trace_dropped: u64,
+}
+
+/// Two reusable `(node, value)` buffers for a caller that chains solves on
+/// one workspace: read a solve's reserve into `reserve`
+/// ([`DiffusionWorkspace::reserve_sorted_into`]), build the next solve's
+/// input in `input`, and hand both back with
+/// [`DiffusionWorkspace::restore_pair_buffers`] so their capacity carries
+/// over to the next query. (LACA keeps `π′` and `φ′` here.)
+#[derive(Debug, Clone, Default)]
+pub struct PairBuffers {
+    /// A reserve read back in ascending node order.
+    pub reserve: Vec<(NodeId, f64)>,
+    /// The input of the next solve.
+    pub input: Vec<(NodeId, f64)>,
 }
 
 /// One traced push operation (`--cfg laca_trace` builds only): the
@@ -183,11 +204,66 @@ impl DiffusionWorkspace {
         self.trace_dropped
     }
 
-    /// Capacities of every internal buffer. Two equal signatures around a
-    /// query prove the query allocated nothing inside the workspace — the
-    /// steady-state zero-allocation property the tests assert.
-    pub fn capacity_signature(&self) -> [usize; 4] {
-        [self.slots.len(), self.touched.capacity(), self.supp_bits.len(), self.gamma.capacity()]
+    /// Capacities of every internal buffer, the pair buffers included. Two
+    /// equal signatures around a query prove the query allocated nothing
+    /// inside the workspace — the steady-state zero-allocation property
+    /// the tests assert.
+    pub fn capacity_signature(&self) -> [usize; 6] {
+        [
+            self.slots.len(),
+            self.touched.capacity(),
+            self.supp_bits.len(),
+            self.gamma.capacity(),
+            self.pairs.reserve.capacity(),
+            self.pairs.input.capacity(),
+        ]
+    }
+
+    /// Lends out the workspace's [`PairBuffers`] (empty buffers if they
+    /// are already lent). Return them with
+    /// [`DiffusionWorkspace::restore_pair_buffers`]; buffers that are
+    /// never returned only cost their capacity.
+    pub fn take_pair_buffers(&mut self) -> PairBuffers {
+        std::mem::take(&mut self.pairs)
+    }
+
+    /// Takes back the buffers lent by
+    /// [`DiffusionWorkspace::take_pair_buffers`], keeping their capacity.
+    pub fn restore_pair_buffers(&mut self, pairs: PairBuffers) {
+        self.pairs = pairs;
+    }
+
+    /// `|supp(q)|` of the last solve (exact unless a reserve credit
+    /// underflowed to zero, when it over-counts): the capacity to reserve
+    /// for a copy of the reserve.
+    pub fn reserve_len(&self) -> usize {
+        self.supp_q
+    }
+
+    /// Writes the last solve's reserve into `out` (cleared first) in
+    /// ascending node order, skipping zero entries. Sorts the touched list
+    /// in place — `O(touched · log touched)` on 4-byte keys — so `out`
+    /// reuses its capacity and nothing is hashed.
+    // lint: hot-path
+    pub fn reserve_sorted_into(&mut self, out: &mut Vec<(NodeId, f64)>) {
+        self.touched.sort_unstable();
+        out.clear();
+        let slots = &self.slots;
+        out.extend(
+            self.touched.iter().map(|&v| (v, slots[v as usize].q)).filter(|&(_, q)| q != 0.0),
+        );
+    }
+
+    /// Calls `f(node, q)` for every non-zero reserve entry of the last
+    /// solve, in touched-list order. `O(touched)`.
+    // lint: hot-path
+    pub fn for_each_reserve(&self, mut f: impl FnMut(NodeId, f64)) {
+        for &v in &self.touched {
+            let q = self.slots[v as usize].q;
+            if q != 0.0 {
+                f(v, q);
+            }
+        }
     }
 
     fn ensure_capacity(&mut self, n: usize) {
@@ -267,7 +343,8 @@ impl DiffusionWorkspace {
         self.above == 0
     }
 
-    /// Seeds the residual from the query's input vector.
+    /// Seeds the residual from the query's input pairs, in slice order
+    /// (duplicate nodes sum).
     ///
     /// `TRACK` selects whether the adaptive aggregates (`supp_r`, `vol_r`,
     /// `above`) are maintained; GreedyDiffuse never reads them, so its
@@ -277,11 +354,11 @@ impl DiffusionWorkspace {
         &mut self,
         graph: &CsrGraph,
         epsilon: f64,
-        f: &SparseVec,
+        f: &[(NodeId, f64)],
     ) {
         let epoch = self.epoch;
         let mut agg = Aggregates { supp_r: self.supp_r, vol_r: self.vol_r, above: self.above };
-        for (i, v) in f.iter() {
+        for &(i, v) in f {
             r_add::<TRACK>(
                 &mut self.slots,
                 &mut self.touched,
@@ -454,6 +531,14 @@ impl DiffusionWorkspace {
         pushes
     }
 
+    /// Fills the kernel-profile fields of a finished solve's `stats`;
+    /// `epoch_resets_before` is [`Self::epoch_resets_total`] before it began.
+    pub(crate) fn profile(&self, stats: &mut crate::DiffusionStats, epoch_resets_before: u64) {
+        stats.frontier_peak = self.frontier_peak;
+        stats.touched = self.touched.len();
+        stats.epoch_resets = (self.epoch_resets - epoch_resets_before) as usize;
+    }
+
     /// `‖r‖₁` over the touched set (Fig. 5 telemetry only; not on the
     /// steady-state path).
     pub(crate) fn residual_l1(&self) -> f64 {
@@ -467,7 +552,9 @@ impl DiffusionWorkspace {
 
     /// Converts the scratch back to the public [`SparseVec`] boundary
     /// types: `(reserve, residual)`. One pass over the touched list; the
-    /// output maps are pre-sized so filling them never rehashes.
+    /// output maps are pre-sized so filling them never rehashes. Call it
+    /// before [`Self::reserve_sorted_into`] reorders the list: the maps'
+    /// layout follows insertion order.
     pub(crate) fn to_sparse(&self) -> (SparseVec, SparseVec) {
         let mut reserve = SparseVec::with_capacity(self.supp_q);
         let mut residual = SparseVec::with_capacity(self.supp_r);
@@ -723,6 +810,41 @@ mod tests {
             assert_eq!(ws.capacity_signature(), warm, "adaptive grew the warm workspace");
         }
         assert_eq!(ws.queries(), 11);
+    }
+
+    #[test]
+    fn reserve_readers_match_the_sparse_result() {
+        let g = graph();
+        let params = DiffusionParams::new(0.8, 1e-4);
+        let f = SparseVec::from_pairs([(0, 0.5), (5, 0.25), (7, 0.25)]);
+        let mut ws = DiffusionWorkspace::new();
+        for solve in [adaptive_diffuse_in, greedy_diffuse_in, nongreedy_diffuse_in] {
+            let out = solve(&g, &f, &params, &mut ws).unwrap();
+            let mut visited = Vec::new();
+            ws.for_each_reserve(|v, q| visited.push((v, q)));
+            visited.sort_unstable_by_key(|&(v, _)| v);
+            let mut sorted = vec![(3, 9.0)]; // stale content must be cleared
+            ws.reserve_sorted_into(&mut sorted);
+            assert_eq!(sorted, out.reserve.to_sorted_pairs());
+            assert_eq!(visited, sorted);
+            assert_eq!(ws.reserve_len(), sorted.len());
+        }
+    }
+
+    #[test]
+    fn lent_pair_buffers_come_back_with_their_capacity() {
+        let mut ws = DiffusionWorkspace::new();
+        let mut bufs = ws.take_pair_buffers();
+        bufs.reserve.reserve(64);
+        bufs.input.reserve(32);
+        let (r, i) = (bufs.reserve.capacity(), bufs.input.capacity());
+        ws.restore_pair_buffers(bufs);
+        assert_eq!(ws.capacity_signature()[4..], [r, i]);
+        // Lending twice hands out empty buffers; the first lease keeps them.
+        let first = ws.take_pair_buffers();
+        assert_eq!(ws.take_pair_buffers().reserve.capacity(), 0);
+        ws.restore_pair_buffers(first);
+        assert_eq!(ws.capacity_signature()[4..], [r, i]);
     }
 
     #[test]
