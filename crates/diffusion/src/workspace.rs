@@ -164,16 +164,6 @@ impl DiffusionWorkspace {
         self.queries
     }
 
-    /// Peak frontier size `|γ|` of the current (or last) query.
-    pub fn frontier_peak(&self) -> usize {
-        self.frontier_peak
-    }
-
-    /// Nodes touched by the current (or last) query.
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
     /// Epoch-stamp wrap resets absorbed over the workspace's lifetime
     /// (one full `O(n)` re-stamp every 2³² queries; solvers report the
     /// per-query delta as [`crate::DiffusionStats::epoch_resets`]).
