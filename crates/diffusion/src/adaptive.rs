@@ -19,8 +19,7 @@
 use crate::workspace::{with_thread_workspace, DiffusionWorkspace};
 use crate::SparseVec;
 use crate::{
-    check_input, pairs_l1, solve_sparse, DiffusionError, DiffusionParams, DiffusionResult,
-    DiffusionStats,
+    check_input, solve_sparse, DiffusionError, DiffusionParams, DiffusionResult, DiffusionStats,
 };
 use laca_graph::{CsrGraph, NodeId};
 
@@ -121,7 +120,10 @@ pub fn adaptive_diffuse_pairs_in(
     ws.begin(graph.n());
     ws.seed::<true>(graph, params.epsilon, f);
     let mut stats = DiffusionStats::default();
-    let budget = pairs_l1(f) / ((1.0 - params.alpha) * params.epsilon);
+    // Summed in slice order, as `SparseVec::l1_norm` sums in `iter()`
+    // order: a slice collected from a `SparseVec` gives the same bits.
+    let l1: f64 = f.iter().map(|&(_, v)| v.abs()).sum();
+    let budget = l1 / ((1.0 - params.alpha) * params.epsilon);
     loop {
         // Branch test (Algo. 2 line 3) — all three quantities are
         // maintained incrementally by the workspace, so this is O(1).

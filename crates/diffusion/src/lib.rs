@@ -185,12 +185,6 @@ pub(crate) fn check_input(
     Ok(())
 }
 
-/// `‖f‖₁` of a pair slice, summed in slice order (for a slice collected
-/// from a [`SparseVec`], bit-identical to [`SparseVec::l1_norm`]).
-pub(crate) fn pairs_l1(f: &[(NodeId, f64)]) -> f64 {
-    f.iter().map(|&(_, v)| v.abs()).sum()
-}
-
 /// A solver's one push loop: input pairs in, result left in the workspace.
 type PairsSolver = fn(
     &CsrGraph,
@@ -200,9 +194,9 @@ type PairsSolver = fn(
 ) -> Result<DiffusionStats, DiffusionError>;
 
 /// Runs `solve` for a [`SparseVec`] caller: the input is taken in
-/// `f.iter()` order — so the float operations match the hash-map
-/// original's, ‖f‖₁ included — and the result converted back with
-/// `to_sparse`.
+/// `f.iter()` order, which fixes the float operations for a given `f`
+/// (the seeding order and the ‖f‖₁ sum), and the result is converted
+/// back with `to_sparse`.
 pub(crate) fn solve_sparse(
     solve: PairsSolver,
     graph: &CsrGraph,
